@@ -39,6 +39,7 @@ from .density import (
     default_tolerance,
     estimate_density,
 )
+from .fixedpoint import check_index_bound
 from .reaping import bisect_check, nonindependence_witness, thin_extension
 from .reports import (
     band_json,
@@ -81,6 +82,10 @@ def _resolve_schedule(spec: LoadedSpec, args) -> WindowSchedule:
         sched = _parse_schedule_flag(args.schedule)
     if args.prefix:
         sched = sched.retarget(args.prefix)
+    # rotation sets reject windows past their validity limit themselves,
+    # but only once a sweep reaches that far; fail before the sweep
+    if any(isinstance(s, KWSet) for s in spec.sets.values()):
+        check_index_bound(sched.windows()[-1])
     return sched
 
 

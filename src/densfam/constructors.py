@@ -108,12 +108,15 @@ def _default_names(k: int, prefix: str = "A") -> tuple[str, ...]:
 # -- irrational-rotation threshold sets --------------------------------
 
 
-class KWSet(OmegaSet):
+class KWSet(SetBase):
     """{n : frac(n * sqrt(radicand)) < p} with exact fixed-point orbits.
 
     Membership compares the 96-bit orbit value against the threshold
     plus a 2**-40 guard band; indices inside the band are resolved as
-    members and surface in the band diagnostic, never silently.
+    members and surface in the band diagnostic, never silently.  Prefix
+    counts and band counts are closed-form floor sums; chunks come from
+    the numpy limb kernel.  Every index bound above fx.INDEX_LIMIT is
+    rejected with a ValueError.
     """
 
     def __init__(
@@ -127,43 +130,41 @@ class KWSet(OmegaSet):
             thr_fixed = fx.threshold_fixed(declared)
         if not fx.GUARD < thr_fixed < fx.MOD - 2 * fx.GUARD:
             raise ValueError("threshold too close to 0 or 1 for guarded comparison")
+        super().__init__()
         self.radicand = radicand
         self.declared = declared
         self._step = step
         self._thr = thr_fixed
         self._thr_eff = thr_fixed + fx.GUARD
-        self._band_cum = [0]
-        super().__init__(
-            self._orbit_member,
-            descriptor={
-                "kind": "kw",
-                "radicand": radicand,
-                "threshold": str(declared),
-            },
-            chunk_fn=self._orbit_chunk,
-        )
+        self._descriptor = {"kind": "kw", "radicand": radicand, "threshold": str(declared)}
 
-    def _orbit_member(self, n: int) -> bool:
+    @property
+    def descriptor(self) -> dict:
+        return self._descriptor
+
+    def member(self, n: int) -> bool:
+        if n < 0:
+            return False
+        fx.check_index_bound(n + 1)
         return fx.orbit_value(self._step, n) < self._thr_eff
 
-    def _orbit_chunk(self, ci: int) -> int:
+    @property
+    def count_hint(self) -> Callable[[int], int]:
+        return self._count
+
+    def _count(self, n: int) -> int:
+        fx.check_index_bound(n)
+        return fx.orbit_count(self._step, self._thr_eff, n)
+
+    def _compute_chunk(self, ci: int) -> int:
+        fx.check_index_bound((ci + 1) * CHUNK_BITS)
         return fx.orbit_chunk_mask(self._step, self._thr_eff, ci * CHUNK_BITS, CHUNK_BITS)
 
     def band_count(self, n: int) -> int:
         """Exact number of indices below n whose orbit value falls in the
         guard band around the threshold."""
-        ci, rem = divmod(n, CHUNK_BITS)
-        with self._lock:
-            while len(self._band_cum) <= ci:
-                done = len(self._band_cum) - 1
-                self._band_cum.append(
-                    self._band_cum[-1]
-                    + fx.orbit_band_count(self._step, self._thr, done * CHUNK_BITS, CHUNK_BITS)
-                )
-        total = self._band_cum[ci]
-        if rem:
-            total += fx.orbit_band_count(self._step, self._thr, ci * CHUNK_BITS, rem)
-        return total
+        fx.check_index_bound(n)
+        return fx.orbit_band_count(self._step, self._thr, 0, n)
 
     @staticmethod
     def band_bound(n: int) -> Fraction:
@@ -285,7 +286,7 @@ def block_of(n: int) -> int:
     return bisect.bisect_right(_block_starts, n) - 1
 
 
-class BlockParitySet(OmegaSet):
+class BlockParitySet(SetBase):
     """Parity transform of a classical set into a density-1/2 set.
 
     Block m is split into 2**m residue classes by offset mod 2**m; the
@@ -295,18 +296,23 @@ class BlockParitySet(OmegaSet):
     counting is closed-form per block.
     """
 
+    caches_chunks = False
+
     def __init__(self, classical: SetBase) -> None:
+        super().__init__()
         self._classical = classical
         self._cls_int = 0
         self._cls_known = 0
         self._periods: dict[int, int] = {}
-        super().__init__(
-            self._member_impl,
-            descriptor={"kind": "block", "classical": classical.descriptor},
-            count_hint=self._count_impl,
-            chunk_fn=self._chunk_impl,
-            caches_chunks=False,
-        )
+        self._descriptor = {"kind": "block", "classical": classical.descriptor}
+
+    @property
+    def descriptor(self) -> dict:
+        return self._descriptor
+
+    @property
+    def count_hint(self) -> Callable[[int], int]:
+        return self._count
 
     def classical_mask(self, m: int) -> int:
         """Bitmask of the classical set's membership on [0, m)."""
@@ -331,13 +337,15 @@ class BlockParitySet(OmegaSet):
         self._periods[m] = p
         return p
 
-    def _member_impl(self, n: int) -> bool:
+    def member(self, n: int) -> bool:
+        if n < 0:
+            return False
         m = block_of(n)
         start, _ = block_bounds(m)
         v = (n - start) & ((1 << m) - 1)
         return ((v & self.classical_mask(m)).bit_count() & 1) == 1
 
-    def _count_impl(self, n: int) -> int:
+    def _count(self, n: int) -> int:
         total = 0
         m = 0
         while True:
@@ -352,7 +360,7 @@ class BlockParitySet(OmegaSet):
                 total += (p & ((1 << rem) - 1)).bit_count()
             m += 1
 
-    def _chunk_impl(self, ci: int) -> int:
+    def _compute_chunk(self, ci: int) -> int:
         a = ci * CHUNK_BITS
         b = a + CHUNK_BITS
         out = 0

@@ -194,3 +194,37 @@ def block_parity_count_enum(classical_members: set, n: int, blocks: int = 12) ->
     return sum(
         1 for k in range(n) if block_parity_member_enum(classical_members, k, starts)
     )
+
+
+# -- rotation orbits by exact modular walking -------------------------------
+# The reference the package's numpy limb kernel and floor-sum counts are
+# checked against bit for bit: one Python integer per index, advanced by
+# exact modular addition of the 96-bit step.
+
+ORBIT_MOD = 1 << 96
+
+
+def orbit_walk_mask(step: int, thr_eff: int, start: int, length: int) -> int:
+    """Bitmask of {n in [start, start+length) : (n*step) mod 2**96 < thr_eff}."""
+    x = (start * step) % ORBIT_MOD
+    bits = bytearray((length + 7) // 8)
+    for i in range(length):
+        if x < thr_eff:
+            bits[i >> 3] |= 1 << (i & 7)
+        x += step
+        if x >= ORBIT_MOD:
+            x -= ORBIT_MOD
+    return int.from_bytes(bytes(bits), "little")
+
+
+def orbit_walk_band(step: int, lo: int, hi: int, start: int, length: int) -> int:
+    """#{n in [start, start+length) : lo <= (n*step) mod 2**96 < hi}."""
+    x = (start * step) % ORBIT_MOD
+    hits = 0
+    for _ in range(length):
+        if lo <= x < hi:
+            hits += 1
+        x += step
+        if x >= ORBIT_MOD:
+            x -= ORBIT_MOD
+    return hits

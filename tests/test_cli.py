@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -248,6 +249,24 @@ def test_prefix_pins_largest_window(tmp_path, capsys):
     assert main(["construct", write_spec(tmp_path, KW3), "--prefix", "30000"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["schedule"]["windows"][-1] == 30000
+
+
+def test_construct_rotation_family_at_1e12_within_a_second(tmp_path, capsys):
+    path = write_spec(tmp_path, KW3)
+    t0 = time.perf_counter()
+    assert main(["construct", path, "--prefix", str(10**12)]) == 0
+    elapsed = time.perf_counter() - t0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["schedule"]["windows"][-1] == 10**12
+    assert all(s["band"]["ok"] for s in rep["sets"])
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", [["construct"], ["verify"], ["extend", "--mode", "thin"]])
+def test_window_past_rotation_validity_limit_is_precondition_error(tmp_path, capsys, command):
+    path = write_spec(tmp_path, KW3)
+    assert main([command[0], path, *command[1:], "--prefix", str(2**40 + 1)]) == 3
+    assert "2**40" in capsys.readouterr().err
 
 
 # -- remaining descriptor kinds through the CLI -------------------------------

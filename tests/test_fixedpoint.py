@@ -1,0 +1,186 @@
+"""Rotation kernels against the exact orbit walk in oracles.py: the numpy
+limb chunk kernel bit for bit, floor-sum counts and band counts exactly,
+and the enforced 2**40 validity domain."""
+
+import gc
+import weakref
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import densfam.fixedpoint as fx
+import oracles
+from densfam import coded_independent_set, kw_set
+from densfam.constructors import BlockParitySet, KWSet
+from densfam.sets import CHUNK_BITS
+
+RADICANDS = (2, 3, 5, 6, 7, 10, 11, 13, 101, 9973)
+
+radicands = st.sampled_from(RADICANDS)
+# any comparison threshold a KWSet can produce, plus the extremes
+thresholds = st.one_of(
+    st.integers(fx.GUARD + 1, fx.MOD - 2 * fx.GUARD - 1).map(lambda t: t + fx.GUARD),
+    st.sampled_from([0, 1, fx.MOD // 2, fx.MOD - 1]),
+)
+chunk_indices = st.one_of(st.integers(0, 1 << 24), st.sampled_from([0, 1, 1 << 24]))
+lengths = st.one_of(
+    st.integers(1, CHUNK_BITS),
+    # block edges of the kernel and lengths that are not byte multiples
+    st.sampled_from([1, 7, 8, 9, 8191, 8192, 8193, 40000, CHUNK_BITS - 1, CHUNK_BITS]),
+)
+
+
+# -- floor sums -----------------------------------------------------------
+
+
+@given(st.integers(0, 60), st.integers(1, 50), st.integers(-200, 200), st.integers(-200, 200))
+def test_floor_sum_matches_direct_sum(n, m, a, b):
+    assert fx.floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_floor_sum_large_arguments_exact():
+    # sum_{i<n} floor(i * a / m) for a = m - 1 equals sum (i - ceil(i/m)) for i < m
+    m = fx.MOD
+    n = 1 << 20
+    assert fx.floor_sum(n, m, m - 1, 0) == n * (n - 1) // 2 - (n - 1)
+
+
+# -- chunk kernel -----------------------------------------------------------
+
+
+@given(radicands, thresholds, chunk_indices, st.integers(0, CHUNK_BITS - 1), lengths)
+@settings(max_examples=80, deadline=None)
+def test_chunk_kernel_matches_orbit_walk(r, thr_eff, ci, offset, length):
+    step = fx.frac_step(r)
+    start = ci * CHUNK_BITS + offset
+    assert (fx.orbit_chunk_mask(step, thr_eff, start, length)
+            == oracles.orbit_walk_mask(step, thr_eff, start, length))
+
+
+@given(radicands, chunk_indices, lengths, st.integers(0, CHUNK_BITS - 1),
+       st.one_of(st.integers(-(1 << 34), 1 << 34), st.sampled_from([-1, 0, 1])))
+@settings(max_examples=80, deadline=None)
+def test_chunk_kernel_matches_walk_at_threshold_on_the_orbit(r, ci, length, k, delta):
+    # a random threshold almost never lies within a limb carry of an
+    # orbit value; put it next to one so that a wrong carry flips a bit
+    step = fx.frac_step(r)
+    start = ci * CHUNK_BITS
+    thr_eff = (fx.orbit_value(step, start + k % length) + delta) % fx.MOD
+    assert (fx.orbit_chunk_mask(step, thr_eff, start, length)
+            == oracles.orbit_walk_mask(step, thr_eff, start, length))
+
+
+@pytest.mark.parametrize("ci", [0, 7, (1 << 24) - 1, 1 << 24])
+@pytest.mark.parametrize("length", [1, 8191, 8193, CHUNK_BITS])
+def test_chunk_kernel_block_edges(ci, length):
+    step = fx.frac_step(3)
+    thr_eff = fx.threshold_fixed(Fraction(2, 7)) + fx.GUARD
+    start = ci * CHUNK_BITS
+    assert (fx.orbit_chunk_mask(step, thr_eff, start, length)
+            == oracles.orbit_walk_mask(step, thr_eff, start, length))
+
+
+def test_chunk_kernel_empty_range():
+    assert fx.orbit_chunk_mask(fx.frac_step(2), fx.MOD // 2, 123, 0) == 0
+
+
+# -- closed-form counts -------------------------------------------------------
+
+
+@given(radicands, st.one_of(thresholds, st.integers(0, fx.MOD)), st.integers(0, 5000))
+@settings(deadline=None)
+def test_orbit_count_matches_orbit_walk(r, t, n):
+    step = fx.frac_step(r)
+    assert fx.orbit_count(step, t, n) == oracles.orbit_walk_mask(step, t, 0, n).bit_count()
+
+
+@given(radicands, st.integers(0, fx.INDEX_LIMIT - 20000), st.integers(0, 20000),
+       st.integers(0, 19999), st.integers(-fx.GUARD, fx.GUARD))
+@settings(max_examples=60, deadline=None)
+def test_band_count_matches_orbit_walk(r, start, length, k, delta):
+    # centre the band near the orbit value of an index in the range so
+    # that hits actually occur
+    step = fx.frac_step(r)
+    thr = fx.orbit_value(step, start + min(k, max(length - 1, 0))) + delta
+    thr = min(max(thr, fx.GUARD + 1), fx.MOD - 2 * fx.GUARD - 1)
+    want = oracles.orbit_walk_band(step, thr - fx.GUARD, thr + fx.GUARD, start, length)
+    assert fx.orbit_band_count(step, thr, start, length) == want
+
+
+@given(radicands, st.fractions(Fraction(1, 100), Fraction(99, 100)),
+       st.integers(0, 300_000), st.integers(0, 20_000))
+@settings(max_examples=40, deadline=None)
+def test_kw_count_hint_matches_sweep_and_walk(r, p, n, width):
+    s = kw_set(r, p)
+    hint = s.count_hint
+    assert hint(n) == s.sweep_prefix(n)
+    step = fx.frac_step(r)
+    want = oracles.orbit_walk_mask(step, s._thr_eff, n, width).bit_count()
+    assert s.count_range(n, n + width) == want
+
+
+@given(radicands, st.fractions(Fraction(1, 100), Fraction(99, 100)),
+       st.integers(0, fx.INDEX_LIMIT - 20_000), st.integers(0, 20_000))
+@settings(max_examples=40, deadline=None)
+def test_kw_count_hint_at_far_offsets_matches_walk(r, p, start, width):
+    s = kw_set(r, p)
+    step = fx.frac_step(r)
+    want = oracles.orbit_walk_mask(step, s._thr_eff, start, width).bit_count()
+    assert s.count_range(start, start + width) == want
+
+
+def test_kw_band_count_one_call_matches_walk():
+    s = kw_set(2, Fraction(3, 10))
+    n = 3 * CHUNK_BITS + 17
+    want = oracles.orbit_walk_band(s._step, s._thr - fx.GUARD, s._thr + fx.GUARD, 0, n)
+    assert s.band_count(n) == want
+
+
+# -- validity domain -------------------------------------------------------------
+
+
+def test_kw_counts_allowed_up_to_the_limit():
+    s = kw_set(2, Fraction(1, 2))
+    assert 0 < s.prefix_count(fx.INDEX_LIMIT) < fx.INDEX_LIMIT
+    assert s.band_count(fx.INDEX_LIMIT) <= KWSet.band_bound(fx.INDEX_LIMIT)
+    last = fx.INDEX_LIMIT // CHUNK_BITS - 1
+    assert s.chunk_mask(last) == oracles.orbit_walk_mask(
+        s._step, s._thr_eff, last * CHUNK_BITS, CHUNK_BITS)
+    s.member(fx.INDEX_LIMIT - 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: s.prefix_count(fx.INDEX_LIMIT + 1),
+    lambda s: s.band_count(fx.INDEX_LIMIT + 1),
+    lambda s: s.chunk_mask(fx.INDEX_LIMIT // CHUNK_BITS),
+    lambda s: s.member(fx.INDEX_LIMIT),
+], ids=["count", "band", "chunk", "member"])
+def test_kw_rejects_indices_past_the_limit(call):
+    s = kw_set(2, Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"2\*\*40"):
+        call(s)
+
+
+# -- sets are freed by reference counting ------------------------------------------
+
+
+def _dies_without_gc(make):
+    gc.disable()
+    try:
+        s = make()
+        s.chunk_mask(0)
+        ref = weakref.ref(s)
+        del s
+        return ref() is None
+    finally:
+        gc.enable()
+
+
+def test_kw_set_freed_without_cyclic_gc():
+    assert _dies_without_gc(lambda: kw_set(2, Fraction(3, 10)))
+
+
+def test_block_parity_set_freed_without_cyclic_gc():
+    assert _dies_without_gc(lambda: BlockParitySet(coded_independent_set("01", 3)))
