@@ -47,17 +47,13 @@ from .sets import (
     SetBase,
     SetExpr,
     complement,
-    count_range,
     empty_set,
     from_elements,
     from_membership,
     intersect,
-    member,
     omega,
-    prefix_count,
     prefix_density,
     scale,
-    sweep_count,
     sym_diff,
     thin,
     union,
@@ -65,6 +61,7 @@ from .sets import (
 from .verify import (
     AtomReport,
     FieldElement,
+    FieldValues,
     ScanReport,
     SignPattern,
     VerificationReport,
@@ -72,6 +69,7 @@ from .verify import (
     expected_atom_density,
     field_elements,
     field_image,
+    field_values,
     image_density_scan,
     verify_independence,
 )

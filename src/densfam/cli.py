@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .constructors import (
-    Family,
     KWSet,
     atom_density,
     greedy_atom_pack,
@@ -47,6 +46,7 @@ from .reports import (
     estimate_json,
     pack_json,
     rat,
+    ratio,
     render_report,
     run_report,
     scan_json,
@@ -56,7 +56,7 @@ from .reports import (
 )
 from .sets import SetBase, intersect
 from .specfile import LoadedSpec, SpecError, load_spec, read_spec_file
-from .verify import field_elements, image_density_scan, verify_independence
+from .verify import field_values, verify_independence
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -207,31 +207,28 @@ def cmd_verify(args) -> int:
 def cmd_image(args) -> int:
     spec = load_spec(read_spec_file(args.spec), default_seed=args.seed)
     family = spec.require_family()
-    names = args.names or None
-    els = field_elements(family, names)
-    values: dict[Fraction, int] = {}
-    for e in els:
-        values[e.expected] = values.get(e.expected, 0) + 1
-    scan = image_density_scan(family, args.grid, names)
+    values = field_values(family, args.names or None)
+    scan = values.scan(args.grid)
+    rendered = [
+        {**ratio(n, values.denominator), "multiplicity": m} for n, m in values.counts.items()
+    ]
+    element_count = sum(values.counts.values())
 
     if args.format == "table":
-        rows = [[f"{v.numerator}/{v.denominator}", f"{float(v):.12g}", m]
-                for v, m in sorted(values.items())]
+        rows = [[r["fraction"], r["decimal"], r["multiplicity"]] for r in rendered]
         _emit(_tsv(rows, ["value", "decimal", "multiplicity"]), args)
     else:
         body = {
-            "members": list(els[0].names),
-            "element_count": len(els),
-            "values": [
-                {**rat(v), "multiplicity": m} for v, m in sorted(values.items())
-            ],
+            "members": list(values.names),
+            "element_count": element_count,
+            "values": rendered,
             "scan": scan_json(scan),
         }
         report = run_report("image", spec.doc, body, seeds=spec.seeds, passed=True)
         _emit(render_report(report), args)
 
     print(
-        f"image: {len(els)} elements, {len(values)} distinct values, "
+        f"image: {element_count} elements, {len(rendered)} distinct values, "
         f"{len(scan.unhit)} unhit cells at grid {args.grid}",
         file=sys.stderr,
     )
@@ -433,18 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build the family and estimate densities")
     common(p)
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="certify the product rule over sign patterns")
     common(p)
     p.add_argument("names", nargs="*", help="member subset to verify (default: all)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("image", help="expected densities over the generated field")
     common(p)
     p.add_argument("names", nargs="*", help="member subset (default: all)")
     p.add_argument("--grid", default="0.01", help="coverage grid step")
-    p.set_defaults(func=cmd_image)
 
     p = sub.add_parser("reap", help="bisection check against target sets")
     common(p)
@@ -453,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intersections", default=None,
                    help="comma-separated member names; adds all nonempty "
                         "intersections as targets")
-    p.set_defaults(func=cmd_reap)
 
     p = sub.add_parser("extend", help="build and check a family extension")
     common(p, with_format=False)
@@ -465,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distinguished", default=None,
                    help="member the random extension biases against")
     p.add_argument("--target", default="1/2", help="declared density of the new member")
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("pack", help="greedy pattern packing below a density budget")
     common(p)
@@ -474,16 +466,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="density budget, e.g. 0.3")
     p.add_argument("--members", default=None,
                    help="comma-separated member names (default: all)")
-    p.set_defaults(func=cmd_pack)
 
     return parser
 
 
+# built once: each parser is a web of reference cycles that only the
+# cyclic collector frees, and parse_args leaves the parser unchanged
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a wrapper installed on cmd_* is honored
+        return globals()[f"cmd_{args.command}"](args)
     except SpecError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from . import __version__
@@ -25,8 +26,14 @@ from .verify import ScanReport, VerificationReport
 
 def rat(x: Fraction) -> dict:
     """Render a rational as exact fraction string plus decimal."""
-    f = Fraction(x)
-    return {"fraction": f"{f.numerator}/{f.denominator}", "decimal": f"{float(f):.12g}"}
+    return ratio(*Fraction(x).as_integer_ratio())
+
+
+def ratio(num: int, den: int) -> dict:
+    """rat(Fraction(num, den)) without building the Fraction: one gcd,
+    and int true division rounds correctly just as Fraction.__float__."""
+    g = gcd(num, den)
+    return {"fraction": f"{num // g}/{den // g}", "decimal": f"{num / den:.12g}"}
 
 
 def canonical_json(doc) -> str:

@@ -36,10 +36,6 @@ def u64_range(seed: int, start: int, stop: int) -> np.ndarray:
     lo = start - block0 * _LANES
     return raw[lo : lo + (stop - start)]
 
-def u64_at(seed: int, n: int) -> int:
-    """The single uint64 draw at index n."""
-    return int(u64_range(seed, n, n + 1)[0])
-
 
 def acceptance_threshold(t: Fraction) -> int:
     """floor(t * 2**64): draw u accepts iff u < threshold, so the accept

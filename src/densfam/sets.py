@@ -378,25 +378,6 @@ def sym_diff(x: SetBase, y: SetBase) -> SetExpr:
 # -- module-level counting helpers -----------------------------------
 
 
-def member(s: SetBase, n: int) -> bool:
-    return s.member(n)
-
-
-def prefix_count(s: SetBase, n: int, workers: int = 1) -> int:
-    return s.prefix_count(n, workers)
-
-
-def count_range(s: SetBase, start: int, stop: int, workers: int = 1) -> int:
-    return s.count_range(start, stop, workers)
-
-
-def sweep_count(s: SetBase, start: int, stop: int, workers: int = 1) -> int:
-    """Count in [start, stop) from chunk masks only, ignoring hints."""
-    if stop <= start:
-        return 0
-    return s.sweep_prefix(stop, workers) - s.sweep_prefix(start, workers)
-
-
 def prefix_density(s: SetBase, n: int, workers: int = 1) -> Fraction:
     """Exact |S ∩ [0,n)| / n as a Fraction."""
     if n <= 0:

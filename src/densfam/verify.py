@@ -10,10 +10,13 @@ a proof about the limit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence, Union
+from math import comb, prod
+from typing import Optional, Sequence
 
 from .constructors import Family, KWSet, atom_density
 from .density import (
@@ -24,7 +27,7 @@ from .density import (
     as_fraction,
     default_tolerance,
 )
-from .sets import SetBase, SetExpr, complement, intersect
+from .sets import SetExpr, complement, intersect
 
 MAX_VERIFY_MEMBERS = 5
 MAX_FIELD_MEMBERS = 4
@@ -70,9 +73,6 @@ def atom(family: Family, bits: Sequence[int], names: Optional[Sequence[str]] = N
     for name, b in zip(chosen, bits):
         s = family.set_of(name)
         parts.append(s if b else complement(s))
-    if len(parts) == 1:
-        # keep a uniform SetExpr return type for single-member patterns
-        return intersect(parts[0])
     return intersect(*parts)
 
 
@@ -226,24 +226,88 @@ class FieldElement:
         return tuple(out)
 
 
+def _atom_numerators(densities: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Atom densities as integer numerators over one common denominator,
+    the product of the members' denominators; entry i is the atom whose
+    pattern bits read off the binary digits of i, least member first."""
+    nums = [1]
+    for p in densities:
+        a, q = p.numerator, p.denominator
+        nums = [x * (q - a) for x in nums] + [x * a for x in nums]
+    return nums, prod(p.denominator for p in densities)
+
+
 def field_elements(
     family: Family, names: Optional[Sequence[str]] = None
 ) -> list[FieldElement]:
     """All 2**(2**k) elements of the finite field of sets generated by k
     members, with exact expected densities."""
     chosen = _resolve_names(family, names, MAX_FIELD_MEMBERS)
-    k = len(chosen)
-    densities = [family.density_of(n) for n in chosen]
-    atoms = [
-        atom_density(densities, tuple((i >> j) & 1 for j in range(k)))
-        for i in range(1 << k)
-    ]
-    n_atoms = 1 << k
-    values = [Fraction(0)] * (1 << n_atoms)
-    for mask in range(1, 1 << n_atoms):
+    atoms, den = _atom_numerators([family.density_of(n) for n in chosen])
+    values = [0] * (1 << len(atoms))
+    for mask in range(1, len(values)):
         low = (mask & -mask).bit_length() - 1
         values[mask] = values[mask & (mask - 1)] + atoms[low]
-    return [FieldElement(chosen, mask, values[mask]) for mask in range(1 << n_atoms)]
+    return [FieldElement(chosen, mask, Fraction(v, den)) for mask, v in enumerate(values)]
+
+
+@dataclass(frozen=True)
+class FieldValues:
+    """The distinct expected densities over a generated field: value n
+    stands for n/denominator and is taken by counts[n] field elements;
+    counts runs in ascending order of n."""
+
+    names: tuple[str, ...]
+    denominator: int
+    counts: dict[int, int]
+    largest_atom: int
+
+    def scan(self, delta: Rational) -> ScanReport:
+        """Report which width-delta grid cells of [0,1] contain a value.
+        Full coverage is expected when the largest atom is below delta."""
+        d = as_fraction(delta)
+        if not 0 < d < 1:
+            raise ValueError("grid step must lie strictly in (0,1)")
+        den, ordered = self.denominator, list(self.counts)
+        cells = []
+        for j in range(-(-d.denominator // d.numerator)):  # ceil(1/delta)
+            lo, hi = j * d, min((j + 1) * d, Fraction(1))
+            # the first value >= lo lies in the cell when below hi; the
+            # last cell, hi == 1, also keeps the value 1 itself
+            i = bisect_left(ordered, -(-lo.numerator * den // lo.denominator))
+            hit = i < len(ordered) and (hi == 1 or ordered[i] * hi.denominator < hi.numerator * den)
+            cells.append(CellReport(j, lo, hi, hit, Fraction(ordered[i], den) if hit else None))
+        full = self.largest_atom * d.denominator < d.numerator * den
+        return ScanReport(self.names, d, tuple(cells), full_coverage_expected=full)
+
+
+def _field_values(family: Family, chosen: tuple[str, ...], max_values: int) -> FieldValues:
+    """Enumerate the subset sums of the atom numerators once, grouping
+    equal atoms: j of c atoms of one value add j times it in comb(c, j)
+    ways, so a family of many equal-density members stays cheap, while
+    genuinely distinct atom values cap out at max_values sums."""
+    atoms, den = _atom_numerators([family.density_of(n) for n in chosen])
+    sums = {0: 1}
+    for value, count in sorted(Counter(atoms).items()):
+        if len(sums) * (count + 1) > max_values:
+            raise ValueError(
+                f"field image too rich to enumerate (> {max_values} sums); "
+                "scan fewer members"
+            )
+        ways = [comb(count, j) for j in range(count + 1)]
+        grown: dict[int, int] = {}
+        for s, m in sums.items():
+            for j, w in enumerate(ways):
+                t = s + j * value
+                grown[t] = grown.get(t, 0) + m * w
+        sums = grown
+    return FieldValues(chosen, den, dict(sorted(sums.items())), max(atoms))
+
+
+def field_values(family: Family, names: Optional[Sequence[str]] = None) -> FieldValues:
+    """The distinct expected densities over the field generated by at
+    most MAX_FIELD_MEMBERS members, with their multiplicities."""
+    return _field_values(family, _resolve_names(family, names, MAX_FIELD_MEMBERS), 1 << 20)
 
 
 def field_image(family: Family, names: Optional[Sequence[str]] = None) -> tuple[Fraction, ...]:
@@ -283,52 +347,10 @@ def image_density_scan(
     max_values: int = 1 << 20,
 ) -> ScanReport:
     """Report which width-delta grid cells of [0,1] contain an expected
-    field-element density.
-
-    Subset sums of the atom densities are enumerated exactly by grouping
-    equal atom values, so a family of many equal-density members stays
-    cheap; genuinely distinct atom values cap out at max_values sums.
+    field-element density, over any number of members (see
+    FieldValues.scan; the enumeration stops past max_values sums).
     Full coverage is expected when the largest atom is below delta,
     i.e. when the product of max(p, 1-p) over the members is below it.
     """
     chosen = _resolve_names(family, names, len(family.names))
-    d = as_fraction(delta)
-    if not 0 < d < 1:
-        raise ValueError("grid step must lie strictly in (0,1)")
-    k = len(chosen)
-    densities = [family.density_of(n) for n in chosen]
-    atom_values: dict[Fraction, int] = {}
-    for i in range(1 << k):
-        v = atom_density(densities, tuple((i >> j) & 1 for j in range(k)))
-        atom_values[v] = atom_values.get(v, 0) + 1
-
-    sums = {Fraction(0)}
-    for value, count in sorted(atom_values.items()):
-        if len(sums) * (count + 1) > max_values:
-            raise ValueError(
-                f"field image too rich to enumerate (> {max_values} sums); "
-                "scan fewer members"
-            )
-        sums = {s + j * value for s in sums for j in range(count + 1)}
-    ordered = sorted(sums)
-
-    largest_atom = max(atom_values)
-    cell_count = int(-(-Fraction(1) // d))  # ceil(1/delta)
-    import bisect as _bisect
-
-    cells = []
-    for j in range(cell_count):
-        lo = j * d
-        hi = min((j + 1) * d, Fraction(1))
-        i = _bisect.bisect_left(ordered, lo)
-        witness = None
-        if i < len(ordered) and (ordered[i] < hi or (hi == 1 and ordered[i] == 1)):
-            witness = ordered[i]
-        cells.append(CellReport(j, lo, hi, witness is not None, witness))
-
-    return ScanReport(
-        names=chosen,
-        delta=d,
-        cells=tuple(cells),
-        full_coverage_expected=largest_atom < d,
-    )
+    return _field_values(family, chosen, max_values).scan(delta)

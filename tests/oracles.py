@@ -9,6 +9,7 @@ naming the oracle that produced them; rerunning the oracle functions
 reproduces the literals.
 """
 
+import bisect
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
@@ -97,6 +98,64 @@ def element_density_ie(densities, atom_mask: int) -> Fraction:
             bits = tuple((i >> j) & 1 for j in range(k))
             total += atom_density_ie(densities, bits)
     return total
+
+
+# -- field image by Fraction arithmetic -----------------------------------
+# The reference for the package's integer numerators over one common
+# denominator: the same enumerations carried out on Fraction values.
+
+
+def atom_values(densities) -> list[Fraction]:
+    """Atom densities by the product rule; entry i is the atom whose
+    pattern bits read off the binary digits of i, least member first."""
+    out = []
+    for i in range(1 << len(densities)):
+        v = Fraction(1)
+        for j, p in enumerate(densities):
+            v *= p if (i >> j) & 1 else 1 - p
+        out.append(v)
+    return out
+
+
+def field_value_counts(densities) -> dict:
+    """Expected density of every field element, built up one atom at a
+    time over atom bitmasks; maps each value to the number of elements
+    taking it."""
+    atoms = atom_values(densities)
+    values = [Fraction(0)] * (1 << len(atoms))
+    counts = {Fraction(0): 1}
+    for mask in range(1, len(values)):
+        low = (mask & -mask).bit_length() - 1
+        v = values[mask] = values[mask & (mask - 1)] + atoms[low]
+        counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
+def scan_cells(densities, delta: Fraction, max_values: int):
+    """Grid coverage of the field image: (lo, hi, witness or None) per
+    width-delta cell of [0,1], the witness being the least subset sum of
+    the atoms in [lo, hi) ([lo, 1] for the last cell), and whether full
+    coverage is expected (largest atom below delta).  Equal atoms are
+    grouped; ValueError once more than max_values sums would be held."""
+    grouped: dict = {}
+    for v in atom_values(densities):
+        grouped[v] = grouped.get(v, 0) + 1
+    sums = {Fraction(0)}
+    for value, count in sorted(grouped.items()):
+        if len(sums) * (count + 1) > max_values:
+            raise ValueError("field image too rich to enumerate")
+        sums = {s + j * value for s in sums for j in range(count + 1)}
+    ordered = sorted(sums)
+    cells = []
+    for j in range(int(-(-Fraction(1) // delta))):
+        lo = j * delta
+        hi = min((j + 1) * delta, Fraction(1))
+        i = bisect.bisect_left(ordered, lo)
+        witness = None
+        if i < len(ordered) and (ordered[i] < hi or (hi == 1 and ordered[i] == 1)):
+            witness = ordered[i]
+        cells.append((lo, hi, witness))
+    return cells, max(grouped) < delta
 
 
 # -- exhaustive pattern packing ------------------------------------------

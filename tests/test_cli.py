@@ -1,10 +1,13 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
+import gc
+import hashlib
 import json
 import time
 
 import pytest
 
+from densfam import cli
 from densfam.cli import main
 
 KW3 = {
@@ -123,6 +126,65 @@ def test_image_member_subset(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["element_count"] == 16
     assert rep["members"] == ["A0", "A1"]
+
+
+GAP4 = {
+    "family": [{"name": "G", "kind": "gap", "target": "9/10", "size": 4}],
+    "schedule": {"start": 2000, "ratio": "2", "count": 3},
+}
+
+# sha256 of stdout, recorded from the Fraction-arithmetic image path; the
+# integer-numerator path must reproduce every byte of every form
+IMAGE_GOLDEN = [
+    (KW3, ["--grid", "0.05"], "report",
+     "f7b6a5a9ac5df2aa463138eee534650c5207f40088bcc1cd2079715360c370e8"),
+    (KW3, ["--grid", "0.05"], "table",
+     "78f639b58ed30fe606187feea81d48206b944323c2356cb6d99d5488f0d336ff"),
+    (KW3, ["A0", "A1"], "report",
+     "7b4589a57fa2fca3dfc641f6943abbf9c10f2f0bf949d014cdb3eca0daf0a751"),
+    (KW3, ["A0", "A1"], "table",
+     "b7093d9794d238cdbe01052a6da167ac97a823e79e1746e57dc634262ad80639"),
+    (GAP4, ["--grid", "0.01"], "report",
+     "030a2003d5cf6178a2c145aec2214911cef56bf75c4fbd94fd518ff1ede212f9"),
+    (GAP4, ["--grid", "0.01"], "table",
+     "a7f9bfa71327abf97bbfc7580b24167f64dcd794137cac271a338405f506797f"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, extra, fmt, digest", IMAGE_GOLDEN,
+    ids=["kw3-grid-report", "kw3-grid-table", "kw3-subset-report",
+         "kw3-subset-table", "gap4-report", "gap4-table"],
+)
+def test_image_output_bytes_pinned(tmp_path, capsys, doc, extra, fmt, digest):
+    assert main(["image", write_spec(tmp_path, doc), *extra, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_main_leaves_no_argparse_cycles_to_the_collector(tmp_path, capsys):
+    spec = write_spec(tmp_path, KW3)
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(2):
+            assert main(["image", spec, "A0"]) == 0
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
+
+
+def test_main_dispatches_through_module_attributes(tmp_path, capsys, monkeypatch):
+    # perfbench/tracer.py wraps cli.cmd_* long after the parser was built
+    calls = []
+    real = cli.cmd_image
+    monkeypatch.setattr(cli, "cmd_image", lambda args: calls.append(args.command) or real(args))
+    assert main(["image", write_spec(tmp_path, KW3), "A0"]) == 0
+    assert calls == ["image"]
 
 
 def test_reap_intersections(tmp_path, capsys):

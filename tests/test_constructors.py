@@ -123,7 +123,7 @@ def test_u64_range_is_offset_consistent():
     whole = [int(x) for x in rng.u64_range(99, 0, 40)]
     part = [int(x) for x in rng.u64_range(99, 13, 29)]
     assert part == whole[13:29]
-    assert rng.u64_at(99, 17) == whole[17]
+    assert int(rng.u64_range(99, 17, 18)[0]) == whole[17]
 
 
 def test_acceptance_threshold_floor():

@@ -1,5 +1,6 @@
 """Sign-pattern atoms, product-rule verification, field images."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from densfam import (
     expected_atom_density,
     field_elements,
     field_image,
+    field_values,
     from_membership,
     image_density_scan,
     kw_family,
@@ -259,6 +261,65 @@ def test_scan_respects_value_cap():
     )
     with pytest.raises(ValueError):
         image_density_scan(fam, Fraction(1, 10), max_values=16)
+
+
+# -- integer field image against the Fraction oracle -------------------------
+
+DENSITY = st.one_of(
+    st.sampled_from([Fraction(3, 10), Fraction(2, 7), Fraction(1, 2), Fraction(5, 6)]),
+    st.integers(1, (1 << 96) - 1).map(lambda k: Fraction(k, 1 << 96)),
+)
+
+
+def mixed_densities(max_members):
+    """Members drawn from a pool of at most three densities, so that
+    denominators mix and densities repeat: equal atoms get grouped and
+    values get multiplicities above 1."""
+    return st.lists(DENSITY, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=max_members)
+    )
+
+
+def blank_family(densities):
+    return Family(
+        tuple(f"S{i}" for i in range(len(densities))),
+        tuple(from_membership(lambda n: False) for _ in densities),
+        tuple(densities),
+    )
+
+
+@given(mixed_densities(MAX_FIELD_MEMBERS))
+@settings(max_examples=8, deadline=None)
+def test_field_values_match_fraction_oracle(ds):
+    fam = blank_family(ds)
+    want = oracles.field_value_counts(ds)
+    fv = field_values(fam)
+    assert list(fv.counts) == sorted(fv.counts)
+    assert {Fraction(n, fv.denominator): m for n, m in fv.counts.items()} == want
+    assert Counter(e.expected for e in field_elements(fam)) == want
+
+
+@given(
+    mixed_densities(6),
+    st.integers(2, 40).flatmap(lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b))),
+    st.sampled_from([16, 256, 1 << 12]),
+)
+@settings(max_examples=80, deadline=None)
+def test_scan_matches_fraction_oracle(ds, delta, max_values):
+    fam = blank_family(ds)
+    try:
+        want_cells, want_full = oracles.scan_cells(ds, delta, max_values)
+    except ValueError:
+        with pytest.raises(ValueError, match="too rich"):
+            image_density_scan(fam, delta, max_values=max_values)
+        return
+    rep = image_density_scan(fam, delta, max_values=max_values)
+    assert [(c.lo, c.hi, c.witness) for c in rep.cells] == want_cells
+    assert [c.hit for c in rep.cells] == [w is not None for _, _, w in want_cells]
+    assert [c.index for c in rep.cells] == list(range(len(want_cells)))
+    assert rep.cells[-1].hi == 1 and rep.cells[-1].hit  # the value 1 itself
+    assert rep.full_coverage_expected == want_full
+    assert (rep.names, rep.delta) == (fam.names, delta)
 
 
 # -- stated atom and field identities ----------------------------------------
