@@ -263,27 +263,41 @@ def coded_independent_set(
 # -- factorial-block parity transform ----------------------------------
 
 
-_block_starts = [0]  # start index of block m; block m has 2**m * (m+1)! indices
+# start index of block m; block m has 2**m * (m+1)! indices.  Pool
+# threads grow it at once, so it is only ever replaced by a whole tuple.
+_block_starts: tuple[int, ...] = (0,)
 
 
 def _block_len(m: int) -> int:
     return (1 << m) * factorial(m + 1)
 
 
+def _starts_through(m: int) -> tuple[int, ...]:
+    """Block starts with at least m + 2 entries."""
+    global _block_starts
+    starts = _block_starts
+    if len(starts) < m + 2:
+        grown = list(starts)
+        while len(grown) < m + 2:
+            grown.append(grown[-1] + _block_len(len(grown) - 1))
+        starts = _block_starts = tuple(grown)
+    return starts
+
+
 def block_bounds(m: int) -> tuple[int, int]:
     """[start, end) index range of factorial block m."""
-    while len(_block_starts) <= m + 1:
-        top = len(_block_starts) - 1
-        _block_starts.append(_block_starts[top] + _block_len(top))
-    return _block_starts[m], _block_starts[m + 1]
+    starts = _starts_through(m)
+    return starts[m], starts[m + 1]
+
 
 def block_of(n: int) -> int:
     """The block index m with n inside block m."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    while _block_starts[-1] <= n:
-        block_bounds(len(_block_starts) - 1)
-    return bisect.bisect_right(_block_starts, n) - 1
+    starts = _block_starts
+    while starts[-1] <= n:
+        starts = _starts_through(len(starts) - 1)
+    return bisect.bisect_right(starts, n) - 1
 
 
 class BlockParitySet(SetBase):
@@ -301,8 +315,8 @@ class BlockParitySet(SetBase):
     def __init__(self, classical: SetBase) -> None:
         super().__init__()
         self._classical = classical
-        self._cls_int = 0
-        self._cls_known = 0
+        # (m, mask of the classical set on [0, m)), replaced as a whole
+        self._cls: tuple[int, int] = (0, 0)
         self._periods: dict[int, int] = {}
         self._descriptor = {"kind": "block", "classical": classical.descriptor}
 
@@ -316,11 +330,13 @@ class BlockParitySet(SetBase):
 
     def classical_mask(self, m: int) -> int:
         """Bitmask of the classical set's membership on [0, m)."""
-        while self._cls_known < m:
-            if self._classical.member(self._cls_known):
-                self._cls_int |= 1 << self._cls_known
-            self._cls_known += 1
-        return self._cls_int & ((1 << m) - 1)
+        known, mask = self._cls
+        if known < m:
+            for n in range(known, m):
+                if self._classical.member(n):
+                    mask |= 1 << n
+            self._cls = (m, mask)
+        return mask & ((1 << m) - 1)
 
     def _period(self, m: int) -> int:
         got = self._periods.get(m)
@@ -513,9 +529,11 @@ def random_extension(
     def chunk(ci: int) -> int:
         lo = ci * CHUNK_BITS
         us = u64_range(seed, lo, lo + CHUNK_BITS)
-        abits = a_set.bits_range(lo, lo + CHUNK_BITS) != 0
-        thr = np.where(abits, np.uint64(thr1), np.uint64(thr0))
-        return bits_to_mask((us < thr).astype(np.uint8))
+        # both thresholds are below 2**64, so the uint64 scalars are exact
+        m1 = bits_to_mask(us < np.uint64(thr1))
+        m0 = bits_to_mask(us < np.uint64(thr0))
+        a = a_set.chunk_mask(ci)
+        return (m1 & a) | (m0 & ~a)
 
     out = OmegaSet(
         is_member,

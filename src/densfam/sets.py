@@ -13,6 +13,7 @@ reduced by summation, so results are identical for any worker count.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -26,7 +27,7 @@ _FULL_CHUNK = (1 << CHUNK_BITS) - 1
 
 
 def bits_to_mask(bits: np.ndarray) -> int:
-    """Pack a 0/1 array into an integer bitmask, bit i = bits[i]."""
+    """Pack a 0/1 or boolean array into an integer bitmask, bit i = bits[i]."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
@@ -102,10 +103,17 @@ class SetBase:
     # -- exact counting -----------------------------------------------
 
     def _chunk_popcounts(self, indices: range, workers: int) -> list[int]:
-        if workers > 1 and len(indices) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(lambda ci: self.chunk_mask(ci).bit_count(), indices))
-        return [self.chunk_mask(ci).bit_count() for ci in indices]
+        def popcounts(part: range) -> list[int]:
+            return [self.chunk_mask(ci).bit_count() for ci in part]
+
+        k = min(workers, len(indices))
+        if k <= 1:
+            return popcounts(indices)
+        # one contiguous slice of chunks per thread, results in index order
+        n = len(indices)
+        parts = [indices[n * i // k : n * (i + 1) // k] for i in range(k)]
+        with ThreadPoolExecutor(max_workers=k) as pool:
+            return [pc for part in pool.map(popcounts, parts) for pc in part]
 
     def _ensure_cum(self, ci: int, workers: int = 1) -> None:
         # _cum[i] = exact count of members below i*CHUNK_BITS
@@ -259,15 +267,27 @@ def from_elements(elements: Iterable[int]) -> OmegaSet:
     if elems and elems[0] < 0:
         raise ValueError("elements must be nonnegative")
     frozen = frozenset(elems)
-    import bisect
+    # int64 while every index a chunk search can meet fits in it
+    top = elems[-1] if elems else -1
+    arr = np.array(elems, dtype=np.int64 if top < (1 << 63) - CHUNK_BITS else object)
 
     def hint(n: int) -> int:
         return bisect.bisect_left(elems, n)
+
+    def chunk(ci: int) -> int:
+        lo = ci * CHUNK_BITS
+        if lo > top:
+            return 0
+        i, j = np.searchsorted(arr, (lo, lo + CHUNK_BITS))
+        bits = np.zeros(CHUNK_BITS, dtype=np.uint8)
+        bits[(arr[i:j] - lo).astype(np.intp)] = 1
+        return bits_to_mask(bits)
 
     return OmegaSet(
         lambda n: n in frozen,
         descriptor={"kind": "explicit", "size": len(elems)},
         count_hint=hint,
+        chunk_fn=chunk,
     )
 
 

@@ -217,14 +217,6 @@ class FieldElement:
     atom_mask: int
     expected: Fraction
 
-    def patterns(self) -> tuple[tuple[int, ...], ...]:
-        k = len(self.names)
-        out = []
-        for i in range(1 << k):
-            if (self.atom_mask >> i) & 1:
-                out.append(tuple((i >> j) & 1 for j in range(k)))
-        return tuple(out)
-
 
 def _atom_numerators(densities: Sequence[Fraction]) -> tuple[list[int], int]:
     """Atom densities as integer numerators over one common denominator,

@@ -10,11 +10,13 @@ reproduces the literals.
 """
 
 import bisect
+import math
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 
 import mpmath
+from numpy.random import Philox
 
 
 # -- rotation threshold sets (high-precision route) ----------------------
@@ -287,3 +289,20 @@ def orbit_walk_band(step: int, lo: int, hi: int, start: int, length: int) -> int
         if x >= ORBIT_MOD:
             x -= ORBIT_MOD
     return hits
+
+
+# -- biased coin by one Philox block per index ------------------------------
+# The reference for the package's bulk coin kernel: each index draws its
+# own counter block and is compared against a threshold computed from
+# the Fraction, with no packing and no threshold arrays.
+
+
+def coin_member(seed: int, t_in: Fraction, t_out: Fraction, in_distinguished: bool,
+                n: int) -> bool:
+    """Index n joins the biased-coin set iff the Philox-4x64 draw for n
+    (lane n % 4 of counter block n // 4 under key seed) lies below
+    floor(t * 2**64), with t = t_in inside the distinguished member and
+    t_out outside it."""
+    u = int(Philox(key=seed, counter=n // 4).random_raw(4)[n % 4])
+    t = t_in if in_distinguished else t_out
+    return u < math.floor(t * (1 << 64))

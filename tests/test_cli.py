@@ -257,6 +257,25 @@ def test_reports_are_byte_identical_across_workers(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_extend_random_reports_are_byte_identical_across_workers(tmp_path):
+    # the coin and the block member it is drawn over are computed in pool
+    # threads; a fresh spec load per run keeps every chunk cache cold
+    doc = {"family": [
+        {"name": "C0", "kind": "coded", "sigma": "0110", "depth_limit": 4},
+        {"name": "B0", "kind": "block", "classical": "C0"},
+        {"name": "R", "kind": "random-ext", "family": ["B0"],
+         "distinguished": "B0", "target": "2/5", "seed": 11},
+    ], "schedule": {"start": 50000, "ratio": "2", "count": 4}}
+    spec = write_spec(tmp_path, doc)
+    outs = []
+    for w in ("1", "2"):
+        outs.append(str(tmp_path / f"w{w}.json"))
+        assert main(["extend", spec, "--mode", "random", "--name", "X",
+                     "--distinguished", "B0", "--seed", "7", "--target", "3/5",
+                     "--workers", w, "--out", outs[-1]]) == 0
+    assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
+
 def test_replay_from_embedded_spec(tmp_path):
     spec = write_spec(tmp_path, KW3)
     first = str(tmp_path / "first.json")

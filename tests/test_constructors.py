@@ -2,13 +2,18 @@
 parity transforms, randomized extensions, gap families, pattern packing.
 """
 
+import dataclasses
+import sys
+import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import densfam.constructors as constructors
 import densfam.fixedpoint as fx
 import densfam.rng as rng
 from densfam import (
@@ -24,6 +29,7 @@ from densfam import (
     coded_independent_set,
     f2_rank,
     from_elements,
+    from_membership,
     gap_family,
     greedy_atom_pack,
     kw_family,
@@ -31,7 +37,7 @@ from densfam import (
     random_extension,
     square_free_radicands,
 )
-from densfam.sets import bits_to_mask
+from densfam.sets import CHUNK_BITS, bits_to_mask
 
 rationals_01 = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
                             max_denominator=100)
@@ -306,6 +312,49 @@ def test_block_transform_family():
     assert fam.meta["alignment_block"] is not None
 
 
+def race(call, threads=4):
+    """Results of call() in `threads` threads released together, with the
+    interpreter switching threads every microsecond."""
+    barrier = threading.Barrier(threads)
+    out = [None] * threads
+
+    def run(i):
+        barrier.wait()
+        out[i] = call()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in pool)
+    return out
+
+
+def test_classical_mask_is_thread_safe():
+    # pool threads grow a fresh set's classical prefix concurrently; a
+    # lost update drops a bit and changes every parity period above it
+    expect = sum(1 << n for n in range(3000) if n % 3 != 0)
+    for _ in range(20):
+        bp = BlockParitySet(from_membership(lambda n: n % 3 != 0))
+        assert race(lambda: bp.classical_mask(3000)) == [expect] * 4
+
+
+def test_block_bounds_are_thread_safe(monkeypatch):
+    starts = oracles.factorial_block_starts(40)
+    expect = [(starts[m], starts[m + 1]) for m in range(39)]
+    for _ in range(20):
+        monkeypatch.setattr(constructors, "_block_starts", constructors._block_starts[:1])
+        got = race(lambda: [block_bounds(m) for m in range(39)])
+        assert got == [expect] * 4
+        assert block_of(starts[39] - 1) == 38
+
+
 # -- biased-coin extension parameters -------------------------------------------
 
 
@@ -367,6 +416,73 @@ def test_random_extension_descriptor_records_provenance(kw_pair):
     assert d["algorithm"] == rng.RNG_ALGORITHM
     assert d["seed"] == 11
     assert d["distinguished"] == "A0"
+
+
+def coin_family(lo):
+    """A rotation, a block parity and an explicit member, the last one
+    holding every third index around [lo, lo + CHUNK_BITS)."""
+    explicit = from_elements(range(max(lo - 256, 0), lo + CHUNK_BITS + 256, 3))
+    return Family(
+        ("K", "B", "E"),
+        (kw_set(2, Fraction(3, 10)), BlockParitySet(coded_independent_set("0110", 4)),
+         explicit),
+        (Fraction(3, 10), Fraction(1, 2), Fraction(1, 3)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.sampled_from(["K", "B", "E"]),
+    ci=st.one_of(st.integers(0, 3), st.integers(0, (1 << 24) - 2)),
+    off=st.integers(-256, CHUNK_BITS - 1),
+    length=st.integers(1, 256),
+    target=rationals_01,
+    seed=st.integers(0, (1 << 128) - 1),
+    swap=st.booleans(),
+)
+def test_random_extension_matches_pointwise_coin(which, ci, off, length, target,
+                                                 seed, swap):
+    lo = ci * CHUNK_BITS
+    start = max(lo + off, 0)
+    stop = start + length
+    fam = coin_family(lo)
+    from_target = ExtensionParams.from_target
+
+    def params(a, s):
+        # from_target always gives t1 > t0; swapping covers the other order
+        p = from_target(a, s)
+        return dataclasses.replace(p, t0=p.t1, t1=p.t0) if swap else p
+
+    with mock.patch.object(ExtensionParams, "from_target", params):
+        b, p = random_extension(fam, which, target, seed)
+    assert (p.t1 < p.t0) == swap
+    a_set = fam.set_of(which)
+    expect = [oracles.coin_member(seed, p.t1, p.t0, a_set.member(n), n)
+              for n in range(start, stop)]
+    assert [bool(x) for x in b.bits_range(start, stop)] == expect
+    inside = range(max(start, lo), min(stop, lo + CHUNK_BITS))
+    mask = b.chunk_mask(ci)
+    assert [bool(mask >> (n - lo) & 1) for n in inside] == [
+        expect[n - start] for n in inside]
+
+
+def coin_over_block():
+    b0 = BlockParitySet(coded_independent_set("0110", 4))
+    fam = Family(("B0",), (b0,), (Fraction(1, 2),))
+    return random_extension(fam, "B0", Fraction(2, 5), seed=11)[0]
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 5, 7])
+def test_sweep_prefix_agrees_across_workers(chunks):
+    # a fresh set per worker count, so every run computes its own chunks;
+    # 3 workers split 5 or 7 chunks unevenly, 8 workers outnumber them
+    n = chunks * CHUNK_BITS + 4321
+    counts = {}
+    for w in (1, 2, 3, 8):
+        s = coin_over_block()
+        counts[w] = [s.sweep_prefix(n, workers=w)] + [
+            s.sweep_prefix(k * CHUNK_BITS) for k in range(chunks + 1)]
+    assert counts[2] == counts[3] == counts[8] == counts[1]
 
 
 # -- gap families -----------------------------------------------------------------

@@ -159,6 +159,19 @@ def test_chunk_mask_beyond_first_chunk():
     assert s.prefix_count(n + 1) == 1
 
 
+@given(finite_sets, st.sampled_from([CHUNK_BITS - 200, 5 * CHUNK_BITS + 7,
+                                     (1 << 63) - CHUNK_BITS - 300, (1 << 63) - 300,
+                                     1 << 70]))
+def test_explicit_chunks_match_python_set(a, base):
+    # members straddle a chunk boundary, also where indices outgrow int64
+    elems = {base + x for x in a}
+    s = from_elements(elems)
+    for ci in range(base // CHUNK_BITS - 1, base // CHUNK_BITS + 3):
+        lo = ci * CHUNK_BITS
+        assert s.chunk_mask(ci) == sum(1 << (n - lo) for n in elems
+                                       if lo <= n < lo + CHUNK_BITS)
+
+
 @given(finite_sets)
 def test_hint_and_sweep_agree(a):
     s = from_elements(a)  # carries an exact count hint
