@@ -24,7 +24,8 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 from .constructors import (
     KWSet,
@@ -55,8 +56,8 @@ from .reports import (
     witness_json,
 )
 from .sets import SetBase, intersect
-from .specfile import LoadedSpec, SpecError, load_spec, read_spec_file
-from .verify import field_values, verify_independence
+from .specfile import LoadedSpec, SpecError, load_spec, parse_rational, read_spec_file
+from .verify import BandDiagnostic, field_values, verify_independence
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,15 +73,25 @@ def _parse_schedule_flag(text: str) -> WindowSchedule:
         raise SpecError("--schedule wants START,RATIO,COUNT")
     try:
         return WindowSchedule(int(parts[0]), as_fraction(parts[1]), int(parts[2]))
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise SpecError(f"bad --schedule: {e}") from None
+
+
+def _load(args) -> LoadedSpec:
+    return load_spec(read_spec_file(args.spec), default_seed=args.seed)
+
+
+def _named_set(spec: LoadedSpec, name: str) -> SetBase:
+    if name not in spec.sets:
+        raise ValueError(f"unknown set {name!r}")
+    return spec.sets[name]
 
 
 def _resolve_schedule(spec: LoadedSpec, args) -> WindowSchedule:
     sched = spec.schedule
-    if args.schedule:
+    if args.schedule is not None:
         sched = _parse_schedule_flag(args.schedule)
-    if args.prefix:
+    if args.prefix is not None:
         sched = sched.retarget(args.prefix)
     # rotation sets reject windows past their validity limit themselves,
     # but only once a sweep reaches that far; fail before the sweep
@@ -90,12 +101,7 @@ def _resolve_schedule(spec: LoadedSpec, args) -> WindowSchedule:
 
 
 def _resolve_tol(spec: LoadedSpec, args) -> Optional[Fraction]:
-    if args.tol is not None:
-        try:
-            return as_fraction(args.tol)
-        except ValueError:
-            raise SpecError(f"--tol is not a rational: {args.tol!r}") from None
-    return spec.tol
+    return spec.tol if args.tol is None else parse_rational(args.tol, "--tol")
 
 
 def _emit(text: str, args) -> None:
@@ -110,18 +116,42 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _tsv(rows: list[list], header: list[str]) -> str:
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(str(c) for c in row))
-    return "\n".join(lines) + "\n"
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
+def _decimal(x: Fraction) -> str:
+    return f"{float(x):.12g}"
+
+
+def _finish(
+    args,
+    spec: LoadedSpec,
+    body: dict,
+    passed: bool,
+    summary: str,
+    table: Optional[tuple[list[str], Iterable[list]]] = None,
+    label: Optional[str] = None,
+) -> int:
+    """The tail of every command: write the JSON run report, or with
+    --format table the TSV of table = (header, rows); print the
+    "<label>: <summary>" line on stderr; map the verdict to the exit code."""
+    if table is not None and args.format == "table":
+        header, rows = table
+        text = "".join("\t".join(map(str, row)) + "\n" for row in chain([header], rows))
+    else:
+        report = run_report(args.command, spec.doc, body, seeds=spec.seeds, passed=passed)
+        text = render_report(report)
+    _emit(text, args)
+    print(f"{label or args.command}: {summary}", file=sys.stderr)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 # -- construct ----------------------------------------------------------
 
 
 def cmd_construct(args) -> int:
-    spec = load_spec(read_spec_file(args.spec), default_seed=args.seed)
+    spec = _load(args)
     family = spec.require_family()
     sched = _resolve_schedule(spec, args)
     tol = _resolve_tol(spec, args)
@@ -129,12 +159,12 @@ def cmd_construct(args) -> int:
 
     entries = []
     rows = []
-    all_converged = True
+    passed = True
     for name, s, declared in family.items():
         randomized = s.descriptor.get("kind") == "random-ext"
         set_tol = tol if tol is not None else default_tolerance(n_max, randomized)
         est = estimate_density(s, sched, set_tol, workers=args.workers)
-        all_converged = all_converged and est.converged
+        passed = passed and est.converged
         entry = {
             "name": name,
             "kind": s.descriptor.get("kind"),
@@ -143,160 +173,116 @@ def cmd_construct(args) -> int:
             "declared_gap": rat(abs(est.value - declared)),
         }
         if isinstance(s, KWSet):
-            entry["band"] = band_json(s, n_max)
+            entry["band"] = band_json(BandDiagnostic.of(name, s, n_max))
         entries.append(entry)
         for w, c, d in zip(est.windows, est.counts, est.densities):
-            rows.append([name, w, c, f"{float(d):.12g}"])
+            rows.append([name, w, c, _decimal(d)])
 
-    if args.format == "table":
-        _emit(_tsv(rows, ["set", "window", "count", "density"]), args)
-    else:
-        report = run_report(
-            "construct",
-            spec.doc,
-            {"schedule": schedule_json(sched), "sets": entries},
-            seeds=spec.seeds,
-            passed=all_converged,
-        )
-        _emit(render_report(report), args)
-    print(
-        f"construct: {'PASS' if all_converged else 'FAIL'} "
-        f"({len(entries)} sets, max window {n_max})",
-        file=sys.stderr,
+    return _finish(
+        args, spec, {"schedule": schedule_json(sched), "sets": entries}, passed,
+        f"{_verdict(passed)} ({len(entries)} sets, max window {n_max})",
+        (["set", "window", "count", "density"], rows),
     )
-    return EXIT_OK if all_converged else EXIT_CHECK_FAILED
 
 
 # -- verify -------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    spec = load_spec(read_spec_file(args.spec), default_seed=args.seed)
+    spec = _load(args)
     family = spec.require_family()
     sched = _resolve_schedule(spec, args)
     tol = _resolve_tol(spec, args)
-    names = args.names or None
-    rep = verify_independence(family, names, sched, tol, workers=args.workers)
-
-    if args.format == "table":
-        rows = []
-        for a in rep.atoms:
-            for w, c, d in zip(a.windows, a.counts, a.densities):
-                rows.append([a.pattern.label(), w, c, f"{float(d):.12g}",
-                             f"{float(a.expected):.12g}"])
-        _emit(_tsv(rows, ["pattern", "window", "count", "density", "expected"]), args)
-    else:
-        report = run_report(
-            "verify", spec.doc, verification_json(rep), seeds=spec.seeds, passed=rep.passed
-        )
-        _emit(render_report(report), args)
+    rep = verify_independence(family, args.names or None, sched, tol, workers=args.workers)
 
     worst = max(rep.atoms, key=lambda a: a.deviation)
-    print(
-        f"verify: {'PASS' if rep.passed else 'FAIL'} "
-        f"({len(rep.atoms)} patterns, tol {float(rep.tol):.6g}, "
-        f"worst deviation {float(worst.deviation):.6g} at {worst.pattern.label()})",
-        file=sys.stderr,
+    rows = (
+        [a.pattern.label(), w, c, _decimal(d), _decimal(a.expected)]
+        for a in rep.atoms
+        for w, c, d in zip(a.windows, a.counts, a.densities)
     )
-    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+    return _finish(
+        args, spec, verification_json(rep), rep.passed,
+        f"{_verdict(rep.passed)} ({len(rep.atoms)} patterns, tol {float(rep.tol):.6g}, "
+        f"worst deviation {float(worst.deviation):.6g} at {worst.pattern.label()})",
+        (["pattern", "window", "count", "density", "expected"], rows),
+    )
 
 
 # -- image --------------------------------------------------------------
 
 
 def cmd_image(args) -> int:
-    spec = load_spec(read_spec_file(args.spec), default_seed=args.seed)
+    spec = _load(args)
     family = spec.require_family()
+    grid = parse_rational(args.grid, "--grid")
     values = field_values(family, args.names or None)
-    scan = values.scan(args.grid)
+    scan = values.scan(grid)
     rendered = [
         {**ratio(n, values.denominator), "multiplicity": m} for n, m in values.counts.items()
     ]
     element_count = sum(values.counts.values())
 
-    if args.format == "table":
-        rows = [[r["fraction"], r["decimal"], r["multiplicity"]] for r in rendered]
-        _emit(_tsv(rows, ["value", "decimal", "multiplicity"]), args)
-    else:
-        body = {
-            "members": list(values.names),
-            "element_count": element_count,
-            "values": rendered,
-            "scan": scan_json(scan),
-        }
-        report = run_report("image", spec.doc, body, seeds=spec.seeds, passed=True)
-        _emit(render_report(report), args)
-
-    print(
-        f"image: {element_count} elements, {len(rendered)} distinct values, "
+    body = {
+        "members": list(values.names),
+        "element_count": element_count,
+        "values": rendered,
+        "scan": scan_json(scan),
+    }
+    rows = ([r["fraction"], r["decimal"], r["multiplicity"]] for r in rendered)
+    return _finish(
+        args, spec, body, True,
+        f"{element_count} elements, {len(rendered)} distinct values, "
         f"{len(scan.unhit)} unhit cells at grid {args.grid}",
-        file=sys.stderr,
+        (["value", "decimal", "multiplicity"], rows),
     )
-    return EXIT_OK
 
 
 # -- reap ---------------------------------------------------------------
 
 
 def cmd_reap(args) -> int:
-    spec = load_spec(read_spec_file(args.spec), default_seed=args.seed)
+    spec = _load(args)
     sched = _resolve_schedule(spec, args)
-    tol = _resolve_tol(spec, args) or Fraction(5, 1000)
-    if args.set not in spec.sets:
-        raise ValueError(f"unknown set {args.set!r}")
-    s = spec.sets[args.set]
+    tol = _resolve_tol(spec, args)
+    if tol is None:
+        tol = Fraction(5, 1000)
+    s = _named_set(spec, args.set)
     if not args.targets and not args.intersections:
         raise ValueError("no targets: give target names or --intersections")
 
     targets: list[tuple[str, SetBase]] = []
     if args.intersections:
         names = [n.strip() for n in args.intersections.split(",") if n.strip()]
-        for n in names:
-            if n not in spec.sets:
-                raise ValueError(f"unknown set {n!r}")
-        k = len(names)
-        for mask in range(1, 1 << k):
-            chosen = [names[i] for i in range(k) if (mask >> i) & 1]
-            label = "&".join(chosen)
-            expr = (
-                spec.sets[chosen[0]]
-                if len(chosen) == 1
-                else intersect(*(spec.sets[c] for c in chosen))
-            )
-            targets.append((label, expr))
-    for n in args.targets:
-        if n not in spec.sets:
-            raise ValueError(f"unknown set {n!r}")
-        targets.append((n, spec.sets[n]))
+        members = [_named_set(spec, n) for n in names]
+        for mask in range(1, 1 << len(names)):
+            picked = [i for i in range(len(names)) if (mask >> i) & 1]
+            sets = [members[i] for i in picked]
+            expr = sets[0] if len(sets) == 1 else intersect(*sets)
+            targets.append(("&".join(names[i] for i in picked), expr))
+    targets += [(n, _named_set(spec, n)) for n in args.targets]
 
     rep = bisect_check(s, targets, sched, tol, workers=args.workers)
 
-    if args.format == "table":
-        rows = []
-        for m in rep.members:
-            for w, mc, jc, r in zip(m.windows, m.member_counts, m.joint_counts, m.ratios):
-                rows.append([m.name, w, mc, jc, f"{float(r):.12g}"])
-        _emit(_tsv(rows, ["target", "window", "member_count", "joint_count", "ratio"]), args)
-    else:
-        body = {"set": args.set, **bisect_json(rep)}
-        report = run_report("reap", spec.doc, body, seeds=spec.seeds, passed=rep.passed)
-        _emit(render_report(report), args)
-
     worst = max(rep.members, key=lambda m: m.deviation)
-    print(
-        f"reap: {'PASS' if rep.passed else 'FAIL'} "
-        f"({len(rep.members)} targets, worst deviation {float(worst.deviation):.6g} "
-        f"at {worst.name})",
-        file=sys.stderr,
+    rows = (
+        [m.name, w, mc, jc, _decimal(r)]
+        for m in rep.members
+        for w, mc, jc, r in zip(m.windows, m.member_counts, m.joint_counts, m.ratios)
     )
-    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+    return _finish(
+        args, spec, {"set": args.set, **bisect_json(rep)}, rep.passed,
+        f"{_verdict(rep.passed)} ({len(rep.members)} targets, "
+        f"worst deviation {float(worst.deviation):.6g} at {worst.name})",
+        (["target", "window", "member_count", "joint_count", "ratio"], rows),
+    )
 
 
 # -- extend -------------------------------------------------------------
 
 
 def cmd_extend(args) -> int:
-    spec = load_spec(read_spec_file(args.spec), default_seed=args.seed)
+    spec = _load(args)
     family = spec.require_family()
     sched = _resolve_schedule(spec, args)
     tol = _resolve_tol(spec, args)
@@ -318,14 +304,14 @@ def cmd_extend(args) -> int:
             "check": verification_json(rep),
         }
         passed = rep.passed
-        summary = f"enlarged verify {'PASS' if passed else 'FAIL'}"
+        summary = f"enlarged verify {_verdict(passed)}"
     else:
         if not args.distinguished:
             raise ValueError("--distinguished is required for random mode")
         seed = args.seed
         if seed is None:
             raise ValueError("--seed is required for random mode")
-        target = as_fraction(args.target)
+        target = parse_rational(args.target, "--target")
         new_set, params = random_extension(base, args.distinguished, target, seed)
         descriptor = {
             "name": args.name,
@@ -363,44 +349,48 @@ def cmd_extend(args) -> int:
             f"density estimate {est.status}"
         )
 
-    report = run_report("extend", spec.doc, body, seeds=spec.seeds, passed=passed)
-    _emit(render_report(report), args)
-    print(f"extend[{args.mode}]: {'PASS' if passed else 'FAIL'} ({summary})", file=sys.stderr)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return _finish(args, spec, body, passed, f"{_verdict(passed)} ({summary})",
+                   label=f"extend[{args.mode}]")
 
 
 # -- pack ---------------------------------------------------------------
 
 
 def cmd_pack(args) -> int:
-    spec = load_spec(read_spec_file(args.spec), default_seed=args.seed)
+    spec = _load(args)
     family = spec.require_family()
     base = family.subfamily(args.members.split(",")) if args.members else family
-    result = greedy_atom_pack(base, args.side, args.target)
+    result = greedy_atom_pack(base, args.side, parse_rational(args.target, "--target"))
 
-    if args.format == "table":
-        rows = [
-            ["".join(map(str, p)), f"{float(atom_density(result.densities, p)):.12g}"]
-            for p in result.patterns
-        ]
-        _emit(_tsv(rows, ["pattern", "density"]), args)
-    else:
-        report = run_report(
-            "pack", spec.doc, pack_json(result), seeds=spec.seeds,
-            passed=result.certificate_ok(),
-        )
-        _emit(render_report(report), args)
-
-    print(
-        f"pack: {'PASS' if result.certificate_ok() else 'FAIL'} "
-        f"({len(result.patterns)} patterns, total {float(result.total):.6g} "
-        f"< target {float(result.target):.6g})",
-        file=sys.stderr,
+    passed = result.certificate_ok()
+    rows = (
+        ["".join(map(str, p)), _decimal(atom_density(result.densities, p))]
+        for p in result.patterns
     )
-    return EXIT_OK if result.certificate_ok() else EXIT_CHECK_FAILED
+    return _finish(
+        args, spec, pack_json(result), passed,
+        f"{_verdict(passed)} ({len(result.patterns)} patterns, "
+        f"total {float(result.total):.6g} < target {float(result.target):.6g})",
+        (["pattern", "density"], rows),
+    )
 
 
 # -- parser ---------------------------------------------------------------
+
+
+def _counting_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--prefix", type=int, default=None,
+                   help="pin the largest window to exactly N")
+    p.add_argument("--tol", default=None, help="tolerance as a rational, e.g. 0.005")
+    p.add_argument("--schedule", default=None,
+                   help="window schedule START,RATIO,COUNT")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker count for window counting (results identical)")
+
+
+def _table_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("report", "table"), default="report",
+                   help="JSON run report or TSV table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,46 +401,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_format: bool = True) -> None:
+    def command(name: str, help: str, *flag_groups) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("spec", help="path to a JSON family spec")
-        p.add_argument("--prefix", type=int, default=None,
-                       help="pin the largest window to exactly N")
-        p.add_argument("--tol", default=None, help="tolerance as a rational, e.g. 0.005")
-        p.add_argument("--schedule", default=None,
-                       help="window schedule START,RATIO,COUNT")
         p.add_argument("--seed", type=int, default=None,
                        help="default seed for randomized entries")
         p.add_argument("--out", default=None,
                        help=f"output path (relative paths honor ${OUT_DIR_ENV})")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker count for window counting (results identical)")
-        if with_format:
-            p.add_argument("--format", choices=("report", "table"), default="report",
-                           help="JSON run report or TSV table")
+        for add_flags in flag_groups:
+            add_flags(p)
+        return p
 
-    p = sub.add_parser("construct", help="build the family and estimate densities")
-    common(p)
+    command("construct", "build the family and estimate densities", _counting_flags, _table_flag)
 
-    p = sub.add_parser("verify", help="certify the product rule over sign patterns")
-    common(p)
+    p = command("verify", "certify the product rule over sign patterns",
+                _counting_flags, _table_flag)
     p.add_argument("names", nargs="*", help="member subset to verify (default: all)")
 
-    p = sub.add_parser("image", help="expected densities over the generated field")
-    common(p)
+    p = command("image", "expected densities over the generated field", _table_flag)
     p.add_argument("names", nargs="*", help="member subset (default: all)")
     p.add_argument("--grid", default="0.01", help="coverage grid step")
 
-    p = sub.add_parser("reap", help="bisection check against target sets")
-    common(p)
+    p = command("reap", "bisection check against target sets",
+                _counting_flags, _table_flag)
     p.add_argument("set", help="the bisecting set's name")
     p.add_argument("targets", nargs="*", help="target set names")
     p.add_argument("--intersections", default=None,
                    help="comma-separated member names; adds all nonempty "
                         "intersections as targets")
 
-    p = sub.add_parser("extend", help="build and check a family extension")
-    common(p, with_format=False)
-    p.add_argument("--format", choices=("report",), default="report")
+    p = command("extend", "build and check a family extension", _counting_flags)
     p.add_argument("--mode", choices=("thin", "random"), required=True)
     p.add_argument("--name", default="EXT", help="name for the new member")
     p.add_argument("--family", default=None,
@@ -459,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="member the random extension biases against")
     p.add_argument("--target", default="1/2", help="declared density of the new member")
 
-    p = sub.add_parser("pack", help="greedy pattern packing below a density budget")
-    common(p)
+    p = command("pack", "greedy pattern packing below a density budget", _table_flag)
     p.add_argument("--side", type=int, choices=(0, 1), required=True,
                    help="fix the first pattern bit")
     p.add_argument("--target", required=True, help="density budget, e.g. 0.3")
@@ -480,10 +459,7 @@ def main(argv=None) -> int:
     try:
         # looked up per call, so a wrapper installed on cmd_* is honored
         return globals()[f"cmd_{args.command}"](args)
-    except SpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as e:
+    except (SpecError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, KeyError, ZeroDivisionError) as e:

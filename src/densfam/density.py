@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .sets import SetBase, sym_diff
 
@@ -97,6 +97,18 @@ DEFAULT_SCHEDULE = WindowSchedule()
 TAIL_WINDOWS = 3
 
 
+def tail_check(
+    values: Sequence[Fraction], expected: Fraction, tol: Fraction
+) -> tuple[Fraction, Fraction, bool]:
+    """The windowed-ratio statistic: the deviation of the last value from
+    expected, the max-min spread of the last TAIL_WINDOWS values, and
+    whether both are at most tol."""
+    tail = values[-TAIL_WINDOWS:]
+    dev = abs(values[-1] - expected)
+    spread = max(tail) - min(tail)
+    return dev, spread, dev <= tol and spread <= tol
+
+
 def default_tolerance(n_max: int, randomized: bool) -> Fraction:
     """Default verification tolerance.
 
@@ -149,8 +161,7 @@ def estimate_density(
     windows = schedule.windows()
     counts = window_counts(s, schedule, workers)
     densities = tuple(Fraction(c, n) for c, n in zip(counts, windows))
-    tail = densities[-TAIL_WINDOWS:]
-    osc = max(tail) - min(tail)
+    _, osc, ok = tail_check(densities, densities[-1], tol)
     return DensityEstimate(
         windows=windows,
         counts=counts,
@@ -158,7 +169,7 @@ def estimate_density(
         value=densities[-1],
         oscillation=osc,
         tol=tol,
-        status="converged" if osc <= tol else "oscillating",
+        status="converged" if ok else "oscillating",
     )
 
 

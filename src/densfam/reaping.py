@@ -19,10 +19,10 @@ from typing import Optional, Sequence, Union
 from .constructors import Family
 from .density import (
     DEFAULT_SCHEDULE,
-    TAIL_WINDOWS,
     Rational,
     WindowSchedule,
     as_fraction,
+    tail_check,
 )
 from .sets import OmegaSet, SetBase, intersect, thin, union
 from .verify import atom
@@ -92,10 +92,7 @@ def bisect_check(
         member_counts = tuple(b.prefix_count(n, workers) for n in windows)
         joint_counts = tuple(joint.prefix_count(n, workers) for n in windows)
         ratios = tuple(Fraction(j, m) for j, m in zip(joint_counts, member_counts))
-        tail = ratios[-TAIL_WINDOWS:]
-        osc = max(tail) - min(tail)
-        dev = abs(ratios[-1] - half)
-        ok = dev <= tol_f and osc <= tol_f
+        dev, osc, ok = tail_check(ratios, half, tol_f)
         all_pass = all_pass and ok
         reports.append(
             BisectMemberReport(

@@ -17,11 +17,11 @@ from math import gcd
 from typing import Optional
 
 from . import __version__
-from .constructors import Family, KWSet, PackResult
+from .constructors import PackResult
 from .density import DensityEstimate, WindowSchedule
 from .reaping import BisectReport, WitnessReport
 from .rng import RNG_ALGORITHM
-from .verify import ScanReport, VerificationReport
+from .verify import BandDiagnostic, ScanReport, VerificationReport
 
 
 def rat(x: Fraction) -> dict:
@@ -66,14 +66,12 @@ def estimate_json(est: DensityEstimate) -> dict:
     }
 
 
-def band_json(s: KWSet, n: int) -> dict:
-    hits = s.band_count(n)
-    bound = KWSet.band_bound(n)
+def band_json(b: BandDiagnostic) -> dict:
     return {
-        "window": n,
-        "hits": hits,
-        "bound": rat(bound),
-        "ok": hits <= bound,
+        "window": b.window,
+        "hits": b.hits,
+        "bound": rat(b.bound),
+        "ok": b.ok,
     }
 
 
@@ -94,16 +92,7 @@ def verification_json(rep: VerificationReport) -> dict:
             }
             for a in rep.atoms
         ],
-        "band_diagnostics": [
-            {
-                "name": b.name,
-                "window": b.window,
-                "hits": b.hits,
-                "bound": rat(b.bound),
-                "ok": b.ok,
-            }
-            for b in rep.band_diagnostics
-        ],
+        "band_diagnostics": [{"name": b.name, **band_json(b)} for b in rep.band_diagnostics],
         "passed": rep.passed,
     }
 

@@ -101,7 +101,7 @@ def _need(entry: dict, key: str, name: str):
     return entry[key]
 
 
-def _rational(value, what: str) -> Fraction:
+def parse_rational(value, what: str) -> Fraction:
     try:
         return as_fraction(value)
     except (ValueError, TypeError, ZeroDivisionError):
@@ -194,7 +194,7 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
 
         if kind == "kw":
             radicand = int(_need(entry, "radicand", name))
-            threshold = _rational(_need(entry, "threshold", name), f"{name} threshold")
+            threshold = parse_rational(_need(entry, "threshold", name), f"{name} threshold")
             try:
                 s = kw_set(radicand, threshold)
             except ValueError as e:
@@ -223,7 +223,7 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
                 _need(entry, "family", name), sets, densities, name
             )
             distinguished = _need(entry, "distinguished", name)
-            target = _rational(_need(entry, "target", name), f"{name} target")
+            target = parse_rational(_need(entry, "target", name), f"{name} target")
             seed = entry.get("seed", default_seed)
             if seed is None:
                 raise SpecError(
@@ -238,7 +238,7 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
             define(name, s, target)
 
         elif kind == "gap":
-            target = _rational(_need(entry, "target", name), f"{name} target")
+            target = parse_rational(_need(entry, "target", name), f"{name} target")
             size = int(_need(entry, "size", name))
             try:
                 fam = gap_family(target, size, names=[f"{name}{i}" for i in range(size)])
@@ -257,7 +257,7 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
             s = _build_expr(_need(entry, "expr", name), sets, name)
             density = None
             if "density" in entry:
-                density = _rational(entry["density"], f"{name} density")
+                density = parse_rational(entry["density"], f"{name} density")
             define(name, s, density)
 
         else:
@@ -274,7 +274,7 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
     schedule = schedule_from_doc(doc.get("schedule"))
     tol = None
     if "tol" in doc:
-        tol = _rational(doc["tol"], "tol")
+        tol = parse_rational(doc["tol"], "tol")
 
     return LoadedSpec(
         doc=doc,
@@ -299,5 +299,5 @@ def schedule_from_doc(node) -> WindowSchedule:
             count=int(node.get("count", 10)),
             end=int(node["end"]) if "end" in node and node["end"] is not None else None,
         )
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise SpecError(f"bad schedule: {e}") from None

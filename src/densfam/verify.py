@@ -21,11 +21,11 @@ from typing import Optional, Sequence
 from .constructors import Family, KWSet, atom_density
 from .density import (
     DEFAULT_SCHEDULE,
-    TAIL_WINDOWS,
     Rational,
     WindowSchedule,
     as_fraction,
     default_tolerance,
+    tail_check,
 )
 from .sets import SetExpr, complement, intersect
 
@@ -110,6 +110,11 @@ class BandDiagnostic:
     def ok(self) -> bool:
         return self.hits <= self.bound
 
+    @classmethod
+    def of(cls, name: str, s: KWSet, n: int) -> "BandDiagnostic":
+        """Guard-band hits of rotation set s below n, against their bound."""
+        return cls(name, n, s.band_count(n), KWSet.band_bound(n))
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -161,10 +166,7 @@ def verify_independence(
         expected = expected_atom_density(family, bits, chosen)
         counts = tuple(expr.prefix_count(n, workers) for n in windows)
         densities = tuple(Fraction(c, n) for c, n in zip(counts, windows))
-        tail = densities[-TAIL_WINDOWS:]
-        osc = max(tail) - min(tail)
-        dev = abs(densities[-1] - expected)
-        ok = dev <= tol_f and osc <= tol_f
+        dev, osc, ok = tail_check(densities, expected, tol_f)
         all_pass = all_pass and ok
         reports.append(
             AtomReport(
@@ -184,15 +186,7 @@ def verify_independence(
     for name in chosen:
         s = family.set_of(name)
         if isinstance(s, KWSet):
-            n_max = windows[-1]
-            diagnostics.append(
-                BandDiagnostic(
-                    name=name,
-                    window=n_max,
-                    hits=s.band_count(n_max),
-                    bound=KWSet.band_bound(n_max),
-                )
-            )
+            diagnostics.append(BandDiagnostic.of(name, s, windows[-1]))
 
     return VerificationReport(
         names=chosen,

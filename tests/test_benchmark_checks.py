@@ -2,6 +2,7 @@
 workload's default-seed reports must pass their checks, including the
 pinned counts and image values in perfbench/pinned.json."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,3 +16,35 @@ def test_benchmark_checker_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+# The tracer wraps densfam functions and methods by name (cli.cmd_*,
+# reports.*_json, verify.field_elements, SetBase.bits_range, ...); a
+# rename breaks `perfbench/run.py --trace 1` and nothing else.
+TRACED_RUN = """
+import json, sys, tempfile
+sys.path.insert(0, "perfbench")
+import densfam, densfam.cli
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+with tempfile.TemporaryDirectory() as tmp:
+    spec = tmp + "/spec.json"
+    json.dump({"family": [{"name": "A0", "kind": "kw", "radicand": 2, "threshold": "0.3"}],
+               "schedule": {"start": 2000, "ratio": "2", "count": 3}}, open(spec, "w"))
+    tracer.begin_op(0)
+    assert densfam.cli.main(["construct", spec, "--out", tmp + "/report.json"]) == 0
+    tracer.end_op()
+print(" ".join(sorted({s[0] for s in tracer.spans})))
+"""
+
+
+def test_tracer_installs_on_the_package():
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    spans = set(done.stdout.split())
+    assert {"cli.cmd_construct", "reports.band_json", "reports.render_report"} <= spans

@@ -162,6 +162,55 @@ def test_image_output_bytes_pinned(tmp_path, capsys, doc, extra, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# (argv after the spec path, exit code, sha256 of stdout, stderr summary),
+# recorded before the commands shared one report/summary/exit tail
+COMMAND_GOLDEN = [
+    (["construct"], 0,
+     "dd5dc6e580379f5f69bde55cca5b71947d2fa3c704c31fd209a4c2654dc4a947",
+     "construct: PASS (3 sets, max window 8000)"),
+    (["construct", "--format", "table"], 0,
+     "cfe268bd8fb21ef305b403a1c05556291b6b3d28415310e6fa20555b5352cdf7",
+     "construct: PASS (3 sets, max window 8000)"),
+    (["construct", "--tol", "1/100000000"], 1,
+     "7cbdc9278d9c97edda3a364e886668ed244af4d5996124bd1fc9ea70ef724f31",
+     "construct: FAIL (3 sets, max window 8000)"),
+    (["verify"], 0,
+     "ca2f48f58eed2b1240a3d758ca5606f3c01f3102974c8475c21c488d39fe00dc",
+     "verify: PASS (8 patterns, tol 0.005, worst deviation 0.000375 at A0=1,A1=0,A2=0)"),
+    (["verify", "A0", "A2", "--prefix", "50000", "--format", "table"], 0,
+     "6f8d739cac726b9468199ea9b57a9495f39f707fad180cebe2fd1d287de8fb68",
+     "verify: PASS (4 patterns, tol 0.005, worst deviation 0.0005 at A0=0,A2=0)"),
+    (["reap", "A1", "--intersections", "A0,A2"], 0,
+     "06926dfad9e13d4f5824ff61afd04db984f482e62d4f785766c04f94bee11311",
+     "reap: PASS (3 targets, worst deviation 0.00118906 at A0&A2)"),
+    (["reap", "A1", "A0", "--tol", "0.01", "--format", "table"], 0,
+     "48778858db869f4c488fc4855c63437b05e6ba3f630e17fa1c2e75b0c2108a33",
+     "reap: PASS (1 targets, worst deviation 0.00041632 at A0)"),
+    (["extend", "--mode", "thin", "--name", "T", "--family", "A0,A1"], 0,
+     "49f94b6135937be9b5194710104025c47a83f6f0f81a23eb9d54bea0502e7eaf",
+     "extend[thin]: PASS (enlarged verify PASS)"),
+    (["extend", "--mode", "random", "--distinguished", "A1", "--seed", "20260816"], 0,
+     "e31fcdede3f92db41462a1d3d484e298db91a936ab2a8b5225723b5b733d1083",
+     "extend[random]: PASS (witness gap 0.1255 vs margin 0.0625 (flagged), "
+     "density estimate converged)"),
+    (["pack", "--side", "1", "--target", "0.3"], 0,
+     "fbec2afba4da513c015c514369573fe57418d5e40ed1d33af21a22e49c4643e1",
+     "pack: PASS (3 patterns, total 0.195 < target 0.3)"),
+    (["pack", "--side", "0", "--target", "0.5", "--members", "A0,A1", "--format", "table"], 0,
+     "6daa0608f9cc7dd81dbd2c2557189a47a95077cd2f384c81b1b48f3a88802762",
+     "pack: PASS (1 patterns, total 0.35 < target 0.5)"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest, summary", COMMAND_GOLDEN,
+                         ids=[" ".join(g[0]) for g in COMMAND_GOLDEN])
+def test_command_output_bytes_pinned(tmp_path, capsys, argv, code, digest, summary):
+    assert main([argv[0], write_spec(tmp_path, KW3), *argv[1:]]) == code
+    out = capsys.readouterr()
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+    assert out.err == summary + "\n"
+
+
 def test_main_leaves_no_argparse_cycles_to_the_collector(tmp_path, capsys):
     spec = write_spec(tmp_path, KW3)
     gc.collect()
@@ -436,3 +485,80 @@ def test_verify_zero_tolerance_fails_and_lists_deviations(tmp_path, capsys):
     assert main(["verify", write_spec(tmp_path, KW3), "--tol", "0"]) == 1
     err = capsys.readouterr().err
     assert "verify: FAIL" in err
+
+
+# -- flags: zero values, flags a command does not take, bad rationals ---------
+
+
+THIN2 = {
+    "family": [
+        {"name": "A0", "kind": "kw", "radicand": 2, "threshold": "3/10"},
+        {"name": "A1", "kind": "kw", "radicand": 3, "threshold": "1/2"},
+        {"name": "T", "kind": "thin-ext", "family": ["A0", "A1"]},
+    ],
+    "schedule": {"start": 2000, "ratio": "2", "count": 3},
+}
+
+
+@pytest.mark.parametrize("where", ["flag", "spec"])
+def test_reap_zero_tolerance_is_kept(tmp_path, capsys, where):
+    # T bisects A1 only up to 1/8002, so a zero tolerance must fail
+    doc, extra = (THIN2, ["--tol", "0"]) if where == "flag" else ({**THIN2, "tol": "0"}, [])
+    assert main(["reap", write_spec(tmp_path, doc), "T", "A0", "A1", *extra]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["tol"] == {"fraction": "0/1", "decimal": "0"}
+    assert rep["passed"] is False
+
+
+def test_prefix_zero_is_a_bound_like_any_other(tmp_path, capsys):
+    path = write_spec(tmp_path, KW3)
+    for prefix in ("0", "-5"):
+        assert main(["construct", path, "--prefix", prefix]) == 3
+        assert f"cannot fit a 3-window schedule below {prefix}" in capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    return e.value.code
+
+
+@pytest.mark.parametrize("flag", ["--prefix", "--tol", "--schedule", "--workers"])
+@pytest.mark.parametrize("command", [["image"], ["pack", "--side", "1", "--target", "0.3"]],
+                         ids=["image", "pack"])
+def test_counting_flags_are_rejected_where_nothing_is_counted(tmp_path, capsys, command, flag):
+    value = {"--schedule": "2000,2,3", "--tol": "0.01"}.get(flag, "2")
+    argv = [command[0], write_spec(tmp_path, KW3), *command[1:], flag, value]
+    assert _exit_code(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_extend_rejects_format(tmp_path, capsys):
+    argv = ["extend", write_spec(tmp_path, KW3), "--mode", "thin", "--format", "report"]
+    assert _exit_code(argv) == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+@pytest.mark.parametrize("command, flag", [
+    (["construct"], "--tol"),
+    (["verify"], "--tol"),
+    (["reap", "A1", "A0"], "--tol"),
+    (["extend", "--mode", "thin"], "--tol"),
+    (["image"], "--grid"),
+    (["extend", "--mode", "random", "--distinguished", "A1", "--seed", "7"], "--target"),
+    (["pack", "--side", "1"], "--target"),
+], ids=["construct", "verify", "reap", "extend-thin", "image", "extend-random", "pack"])
+def test_bad_rational_flag_is_parse_error_naming_it(tmp_path, capsys, command, flag, value):
+    argv = [command[0], write_spec(tmp_path, KW3), *command[1:], flag, value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} is not a rational: {value!r}\n"
+
+
+def test_schedule_ratio_with_zero_denominator_is_parse_error(tmp_path, capsys):
+    path = write_spec(tmp_path, KW3)
+    assert main(["verify", path, "--schedule", "2000,1/0,3"]) == 2
+    assert "bad --schedule" in capsys.readouterr().err
+    doc = {**KW3, "schedule": {"start": 2000, "ratio": "1/0", "count": 3}}
+    assert main(["verify", write_spec(tmp_path, doc, "zero.json")]) == 2
+    assert "bad schedule" in capsys.readouterr().err
