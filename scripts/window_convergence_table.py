@@ -49,7 +49,7 @@ def main(argv=None) -> int:
 
     lines = ["set\twindow\tcount\tdensity\ttarget"]
     for name, s, target in subjects:
-        for w, c in zip(windows, window_counts(s, sched)):
+        for w, c in zip(windows, window_counts([s], windows)[0]):
             tgt = "" if target is None else f"{float(target):.6f}"
             lines.append(f"{name}\t{w}\t{c}\t{c / w:.8f}\t{tgt}")
     text = "\n".join(lines) + "\n"

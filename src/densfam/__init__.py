@@ -32,7 +32,6 @@ from .density import (
     relative_density,
     rho_estimate,
     upper_density_estimate,
-    window_counts,
 )
 from .reaping import (
     BisectReport,
@@ -57,6 +56,7 @@ from .sets import (
     sym_diff,
     thin,
     union,
+    window_counts,
 )
 from .verify import (
     AtomReport,

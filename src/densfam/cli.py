@@ -34,13 +34,13 @@ from .constructors import (
     random_extension,
 )
 from .density import (
+    DensityEstimate,
     WindowSchedule,
     as_fraction,
     default_tolerance,
-    estimate_density,
 )
 from .fixedpoint import check_index_bound
-from .reaping import bisect_check, nonindependence_witness, thin_extension
+from .reaping import WitnessReport, bisect_check, thin_extension
 from .reports import (
     band_json,
     bisect_json,
@@ -55,7 +55,7 @@ from .reports import (
     verification_json,
     witness_json,
 )
-from .sets import SetBase, intersect
+from .sets import SetBase, intersect, window_counts
 from .specfile import LoadedSpec, SpecError, load_spec, parse_rational, read_spec_file
 from .verify import BandDiagnostic, field_values, verify_independence
 
@@ -155,15 +155,17 @@ def cmd_construct(args) -> int:
     family = spec.require_family()
     sched = _resolve_schedule(spec, args)
     tol = _resolve_tol(spec, args)
-    n_max = sched.windows()[-1]
+    windows = sched.windows()
+    n_max = windows[-1]
 
     entries = []
     rows = []
     passed = True
-    for name, s, declared in family.items():
+    counts = window_counts(family.sets, windows, args.workers)
+    for (name, s, declared), set_counts in zip(family.items(), counts):
         randomized = s.descriptor.get("kind") == "random-ext"
         set_tol = tol if tol is not None else default_tolerance(n_max, randomized)
-        est = estimate_density(s, sched, set_tol, workers=args.workers)
+        est = DensityEstimate.of(windows, set_counts, set_tol)
         passed = passed and est.converged
         entry = {
             "name": name,
@@ -321,19 +323,13 @@ def cmd_extend(args) -> int:
             "target": str(target),
             "seed": seed,
         }
-        est = estimate_density(new_set, sched,
-                               tol if tol is not None
-                               else default_tolerance(sched.windows()[-1], True),
-                               workers=args.workers)
-        wit = nonindependence_witness(
-            new_set,
-            base.set_of(args.distinguished),
-            params.target,
-            params.base_density,
-            sched,
-            margin=params.eps / 2,
-            workers=args.workers,
-        )
+        windows = sched.windows()
+        joint = intersect(new_set, base.set_of(args.distinguished))
+        own, joint_counts = window_counts([new_set, joint], windows, args.workers)
+        est = DensityEstimate.of(windows, own, tol if tol is not None
+                                 else default_tolerance(windows[-1], True))
+        wit = WitnessReport.of(windows[-1], joint_counts[-1],
+                               params.target * params.base_density, params.eps / 2)
         body = {
             "mode": "random",
             "descriptor": descriptor,
@@ -378,13 +374,20 @@ def cmd_pack(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+def _worker_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _counting_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prefix", type=int, default=None,
                    help="pin the largest window to exactly N")
     p.add_argument("--tol", default=None, help="tolerance as a rational, e.g. 0.005")
     p.add_argument("--schedule", default=None,
                    help="window schedule START,RATIO,COUNT")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_worker_count, default=1,
                    help="worker count for window counting (results identical)")
 
 

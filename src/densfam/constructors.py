@@ -310,8 +310,6 @@ class BlockParitySet(SetBase):
     counting is closed-form per block.
     """
 
-    caches_chunks = False
-
     def __init__(self, classical: SetBase) -> None:
         super().__init__()
         self._classical = classical

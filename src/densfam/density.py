@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence, Union
 
-from .sets import SetBase, sym_diff
+from .sets import SetBase, intersect, sym_diff, window_counts
 
 Rational = Union[Fraction, int, str, float]
 
@@ -139,10 +139,25 @@ class DensityEstimate:
     def converged(self) -> bool:
         return self.status == "converged"
 
-
-def window_counts(s: SetBase, schedule: WindowSchedule, workers: int = 1) -> tuple[int, ...]:
-    """Exact member counts of S at each schedule window."""
-    return tuple(s.prefix_count(n, workers) for n in schedule.windows())
+    @classmethod
+    def of(
+        cls, windows: Sequence[int], counts: Sequence[int], tol: Rational
+    ) -> "DensityEstimate":
+        """The estimate from exact counts at the windows: the density at the
+        largest window, "converged" iff the max-min spread over the last
+        three windows is at most tol."""
+        tol = as_fraction(tol)
+        densities = tuple(Fraction(c, n) for c, n in zip(counts, windows))
+        _, osc, ok = tail_check(densities, densities[-1], tol)
+        return cls(
+            windows=tuple(windows),
+            counts=tuple(counts),
+            densities=densities,
+            value=densities[-1],
+            oscillation=osc,
+            tol=tol,
+            status="converged" if ok else "oscillating",
+        )
 
 
 def estimate_density(
@@ -151,26 +166,9 @@ def estimate_density(
     tol: Rational = Fraction(5, 1000),
     workers: int = 1,
 ) -> DensityEstimate:
-    """Estimate the density of S over the schedule.
-
-    The point estimate is the exact density at the largest window; the
-    status is "converged" iff the max-min spread over the last three
-    windows is at most tol.
-    """
-    tol = as_fraction(tol)
+    """Estimate the density of S over the schedule (see DensityEstimate.of)."""
     windows = schedule.windows()
-    counts = window_counts(s, schedule, workers)
-    densities = tuple(Fraction(c, n) for c, n in zip(counts, windows))
-    _, osc, ok = tail_check(densities, densities[-1], tol)
-    return DensityEstimate(
-        windows=windows,
-        counts=counts,
-        densities=densities,
-        value=densities[-1],
-        oscillation=osc,
-        tol=tol,
-        status="converged" if ok else "oscillating",
-    )
+    return DensityEstimate.of(windows, window_counts([s], windows, workers)[0], tol)
 
 
 def upper_density_estimate(
@@ -181,9 +179,9 @@ def upper_density_estimate(
     A finite surrogate for the limsup density: it can only see
     oscillation at the scales the tail windows sample.
     """
-    windows = schedule.windows()
-    tail = windows[-TAIL_WINDOWS:]
-    return max(Fraction(s.prefix_count(n, workers), n) for n in tail)
+    tail = schedule.windows()[-TAIL_WINDOWS:]
+    counts = window_counts([s], tail, workers)[0]
+    return max(Fraction(c, n) for c, n in zip(counts, tail))
 
 
 def rho_estimate(
@@ -200,10 +198,7 @@ def relative_density(s: SetBase, b: SetBase, n: int, workers: int = 1) -> Fracti
     Raises ZeroDivisionError with a clear message when B has no members
     below n.
     """
-    from .sets import intersect
-
-    denom = b.prefix_count(n, workers)
+    (denom,), (num,) = window_counts([b, intersect(s, b)], (n,), workers)
     if denom == 0:
         raise ZeroDivisionError(f"relative density undefined: no members below {n}")
-    num = intersect(s, b).count_range(0, n, workers)
     return Fraction(num, denom)

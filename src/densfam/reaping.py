@@ -24,7 +24,7 @@ from .density import (
     as_fraction,
     tail_check,
 )
-from .sets import OmegaSet, SetBase, intersect, thin, union
+from .sets import OmegaSet, SetBase, intersect, thin, union, window_counts
 from .verify import atom
 
 
@@ -79,18 +79,16 @@ def bisect_check(
     named = _named_sets(targets)
     if not named:
         raise ValueError("need at least one target set")
+    members = [b for _, b in named]
+    counts = window_counts(members + [intersect(s, b) for b in members], windows, workers)
     half = Fraction(1, 2)
     reports = []
     all_pass = True
-    for name, b in named:
-        first = b.prefix_count(windows[0], workers)
-        if first == 0:
+    for (name, _), member_counts, joint_counts in zip(named, counts, counts[len(named):]):
+        if member_counts[0] == 0:
             raise ValueError(
                 f"target {name!r} has no members below the first window {windows[0]}"
             )
-        joint = intersect(s, b)
-        member_counts = tuple(b.prefix_count(n, workers) for n in windows)
-        joint_counts = tuple(joint.prefix_count(n, workers) for n in windows)
         ratios = tuple(Fraction(j, m) for j, m in zip(joint_counts, member_counts))
         dev, osc, ok = tail_check(ratios, half, tol_f)
         all_pass = all_pass and ok
@@ -146,6 +144,16 @@ class WitnessReport:
     margin: Fraction
     flagged: bool
 
+    @classmethod
+    def of(
+        cls, window: int, joint_count: int, declared_product: Fraction, margin: Fraction
+    ) -> "WitnessReport":
+        """The gap between the joint count's density at the window and the
+        declared product, flagged when it reaches margin."""
+        empirical = Fraction(joint_count, window)
+        gap = abs(empirical - declared_product)
+        return cls(window, joint_count, empirical, declared_product, gap, margin, gap >= margin)
+
 
 def nonindependence_witness(
     b: SetBase,
@@ -173,15 +181,5 @@ def nonindependence_witness(
         margin_f = as_fraction(margin)
     n_max = schedule.windows()[-1]
     joint = intersect(b, a).prefix_count(n_max, workers)
-    empirical = Fraction(joint, n_max)
     declared = as_fraction(b_density) * as_fraction(a_density)
-    gap = abs(empirical - declared)
-    return WitnessReport(
-        window=n_max,
-        joint_count=joint,
-        empirical=empirical,
-        declared_product=declared,
-        gap=gap,
-        margin=margin_f,
-        flagged=gap >= margin_f,
-    )
+    return WitnessReport.of(n_max, joint, declared, margin_f)

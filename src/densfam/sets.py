@@ -3,12 +3,16 @@
 A set is represented by a pure membership oracle plus optional exact
 counting shortcuts.  Bulk counting never calls the oracle point by point
 if it can help it: membership over an aligned 65536-index chunk is
-materialized once as a Python integer bitmask, cached, and combined with
-cheap bitwise operations.  All counts are exact integers; densities
-derived from them are exact ``Fraction`` values.
+materialized as a Python integer bitmask and combined with cheap
+bitwise operations.  All counts are exact integers; densities derived
+from them are exact ``Fraction`` values.
 
-Counting over a window may be partitioned across disjoint subranges and
-reduced by summation, so results are identical for any worker count.
+``window_counts`` counts many sets in one chunk-major sweep, so a leaf
+shared by many expressions is computed once per chunk, and each set
+keeps only the last chunk it computed on each thread: memory is flat
+in the window size.  The chunk range may be split into contiguous
+parts counted on separate threads and reduced by summation, so results
+are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import bisect
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -41,12 +45,13 @@ def mask_to_bits(mask: int, width: int) -> np.ndarray:
 class SetBase:
     """Shared counting machinery for all set representations."""
 
-    caches_chunks = True
+    # read only by perfbench/tracer.py, which counts chunk-cache hits on
+    # sets where it is true; no set keeps more than its one-chunk slot
+    caches_chunks = False
 
     def __init__(self) -> None:
-        self._chunks: dict[int, int] = {}
-        self._cum: list[int] = [0]
-        self._lock = threading.Lock()
+        # per thread: (ci, mask) of the last chunk computed there
+        self._slot = threading.local()
 
     # -- membership ---------------------------------------------------
 
@@ -77,80 +82,85 @@ class SetBase:
 
     def chunk_mask(self, ci: int) -> int:
         """Membership bitmask for indices [ci*CHUNK_BITS, (ci+1)*CHUNK_BITS)."""
-        if not self.caches_chunks:
-            return self._compute_chunk(ci)
-        got = self._chunks.get(ci)
-        if got is None:
-            got = self._compute_chunk(ci)
-            self._chunks[ci] = got
-        return got
+        got = getattr(self._slot, "chunk", None)
+        if got is None or got[0] != ci:
+            got = self._slot.chunk = (ci, self._compute_chunk(ci))
+        return got[1]
 
     def bits_range(self, start: int, stop: int) -> np.ndarray:
         """Membership as a uint8 0/1 array over [start, stop)."""
         if stop <= start:
             return np.zeros(0, dtype=np.uint8)
-        pieces = []
-        ci = start // CHUNK_BITS
-        pos = start
-        while pos < stop:
-            lo = pos - ci * CHUNK_BITS
-            hi = min(stop - ci * CHUNK_BITS, CHUNK_BITS)
-            pieces.append(mask_to_bits(self.chunk_mask(ci), CHUNK_BITS)[lo:hi])
-            pos = (ci + 1) * CHUNK_BITS
-            ci += 1
-        return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+        first = start // CHUNK_BITS
+        chunks = range(first, (stop - 1) // CHUNK_BITS + 1)
+        bits = np.concatenate([mask_to_bits(self.chunk_mask(ci), CHUNK_BITS) for ci in chunks])
+        return bits[start - first * CHUNK_BITS : stop - first * CHUNK_BITS]
 
     # -- exact counting -----------------------------------------------
 
-    def _chunk_popcounts(self, indices: range, workers: int) -> list[int]:
-        def popcounts(part: range) -> list[int]:
-            return [self.chunk_mask(ci).bit_count() for ci in part]
-
-        k = min(workers, len(indices))
-        if k <= 1:
-            return popcounts(indices)
-        # one contiguous slice of chunks per thread, results in index order
-        n = len(indices)
-        parts = [indices[n * i // k : n * (i + 1) // k] for i in range(k)]
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            return [pc for part in pool.map(popcounts, parts) for pc in part]
-
-    def _ensure_cum(self, ci: int, workers: int = 1) -> None:
-        # _cum[i] = exact count of members below i*CHUNK_BITS
-        if len(self._cum) > ci:
-            return
-        pcs = self._chunk_popcounts(range(len(self._cum) - 1, ci), workers)
-        with self._lock:
-            have = len(self._cum) - 1
-            for j, pc in enumerate(pcs):
-                if have + j == len(self._cum) - 1:
-                    self._cum.append(self._cum[-1] + pc)
-
     def sweep_prefix(self, n: int, workers: int = 1) -> int:
         """Exact |S ∩ [0, n)| obtained from chunk masks alone (no hints)."""
-        if n < 0:
-            raise ValueError("prefix bound must be nonnegative")
-        ci, rem = divmod(n, CHUNK_BITS)
-        self._ensure_cum(ci, workers)
-        total = self._cum[ci]
-        if rem:
-            total += (self.chunk_mask(ci) & ((1 << rem) - 1)).bit_count()
-        return total
+        unhinted = OmegaSet(self.member, chunk_fn=self.chunk_mask)
+        return window_counts([unhinted], (n,), workers)[0][0]
 
     def prefix_count(self, n: int, workers: int = 1) -> int:
         """Exact number of members below n; uses the count hint when present."""
-        if n < 0:
-            raise ValueError("prefix bound must be nonnegative")
-        hint = self.count_hint
-        if hint is not None:
-            return hint(n)
-        return self.sweep_prefix(n, workers)
+        return window_counts([self], (n,), workers)[0][0]
 
     def count_range(self, start: int, stop: int, workers: int = 1) -> int:
         """Exact number of members in [start, stop)."""
         if stop <= start:
             return 0
-        return self.prefix_count(stop, workers) - self.prefix_count(start, workers)
+        below_start, below_stop = window_counts([self], (start, stop), workers)[0]
+        return below_stop - below_start
+
+
+def window_counts(
+    sets: Sequence[SetBase], windows: Sequence[int], workers: int = 1
+) -> list[tuple[int, ...]]:
+    """Exact |S ∩ [0, n)| for each set S and each window n.
+
+    A set with a count hint is counted by it.  The others share one pass
+    over the chunks in index order that evaluates every set at a chunk
+    before the next; with workers > 1 each thread sweeps one contiguous
+    range of chunks and the ranges' counts are summed.
+    """
+    if any(n < 0 for n in windows):
+        raise ValueError("prefix bound must be nonnegative")
+    hints = [s.count_hint for s in sets]
+    swept = [s for s, h in zip(sets, hints) if h is None]
+
+    def sweep(chunks: range) -> list[list[int]]:
+        # members below each window in the chunk range; a window past the
+        # range takes all of the range's last chunk
+        ends: dict[int, list[tuple[int, int]]] = {}
+        for j, n in enumerate(windows):
+            ci, low = n // CHUNK_BITS, (1 << n % CHUNK_BITS) - 1
+            if ci >= chunks.stop:
+                ci, low = chunks.stop - 1, _FULL_CHUNK
+            ends.setdefault(ci, []).append((j, low))
+        counts = [[0] * len(windows) for _ in swept]
+        run = [0] * len(swept)
+        for ci in chunks:
+            here = ends.get(ci, ())
+            for i, s in enumerate(swept):
+                m = s.chunk_mask(ci)
+                for j, low in here:
+                    counts[i][j] = run[i] + (m & low).bit_count()
+                run[i] += m.bit_count()
+        return counts
+
+    chunks = -(-max(windows, default=0) // CHUNK_BITS) if swept else 0
+    k = min(workers, chunks)
+    if k <= 1:
+        # on the calling thread, so its one-chunk slots outlive the call
+        parts = [sweep(range(chunks))]
+    else:
+        ranges = [range(chunks * i // k, chunks * (i + 1) // k) for i in range(k)]
+        with ThreadPoolExecutor(max_workers=k) as pool:
+            parts = list(pool.map(sweep, ranges))
+    totals = iter([tuple(map(sum, zip(*(p[i] for p in parts)))) for i in range(len(swept))])
+    return [next(totals) if h is None else tuple(map(h, windows)) for h in hints]
 
 
 class OmegaSet(SetBase):
@@ -169,14 +179,12 @@ class OmegaSet(SetBase):
         descriptor: Optional[dict] = None,
         count_hint: Optional[Callable[[int], int]] = None,
         chunk_fn: Optional[Callable[[int], int]] = None,
-        caches_chunks: bool = True,
     ) -> None:
         super().__init__()
         self._membership = membership
         self._descriptor = descriptor or {"kind": "oracle"}
         self._count_hint = count_hint
         self._chunk_fn = chunk_fn
-        self.caches_chunks = caches_chunks
 
     def member(self, n: int) -> bool:
         if n < 0:
@@ -211,9 +219,6 @@ class SetExpr(SetBase):
         super().__init__()
         self.op = op
         self.args = tuple(args)
-        # chunk combination is cheap relative to leaf evaluation; leaves
-        # hold the caches, so avoid duplicating their memory here
-        self.caches_chunks = False
 
     def member(self, n: int) -> bool:
         if self.op == "intersect":
@@ -310,7 +315,6 @@ def complement(s: SetBase) -> OmegaSet:
         descriptor={"kind": "complement", "of": s.descriptor},
         count_hint=hint,
         chunk_fn=lambda ci: s.chunk_mask(ci) ^ _FULL_CHUNK,
-        caches_chunks=False,
     )
 
 
@@ -345,7 +349,6 @@ def scale(s: SetBase, factor: int) -> OmegaSet:
         descriptor={"kind": "scale", "factor": m, "of": s.descriptor},
         count_hint=hint,
         chunk_fn=chunk,
-        caches_chunks=False,
     )
 
 
@@ -354,9 +357,11 @@ def thin(s: SetBase) -> OmegaSet:
 
     If x_0 < x_1 < ... enumerates S, the result is {x_0, x_2, x_4, ...}.
     Exact count identity: |thin(S) ∩ [0,n)| = ceil(|S ∩ [0,n)| / 2).
-    Ranks come from S's chunk-cumulative counts, so membership costs
-    amortized O(1) after a forward sweep.
+    Each thread keeps a running rank of S, the next chunk index and S's
+    count below it, so a forward sweep gets each chunk's starting rank
+    for free; any other chunk takes it from S's prefix count.
     """
+    ranks = threading.local()
 
     def is_member(n: int) -> bool:
         return s.member(n) and s.prefix_count(n) % 2 == 0
@@ -366,13 +371,14 @@ def thin(s: SetBase) -> OmegaSet:
         return (c + 1) // 2
 
     def chunk(ci: int) -> int:
-        a = ci * CHUNK_BITS
-        base_bits = s.bits_range(a, a + CHUNK_BITS)
-        positions = np.flatnonzero(base_bits)
-        rank0 = s.prefix_count(a)
-        keep = positions[(rank0 & 1)::2]
+        at, below = getattr(ranks, "at", (0, 0))
+        if at != ci:
+            below = s.prefix_count(ci * CHUNK_BITS)
+        base = s.chunk_mask(ci)
+        positions = np.flatnonzero(mask_to_bits(base, CHUNK_BITS))
         out = np.zeros(CHUNK_BITS, dtype=np.uint8)
-        out[keep] = 1
+        out[positions[(below & 1)::2]] = 1
+        ranks.at = (ci + 1, below + base.bit_count())
         return bits_to_mask(out)
 
     return OmegaSet(

@@ -27,7 +27,7 @@ from .density import (
     default_tolerance,
     tail_check,
 )
-from .sets import SetExpr, complement, intersect
+from .sets import SetExpr, complement, intersect, window_counts
 
 MAX_VERIFY_MEMBERS = 5
 MAX_FIELD_MEMBERS = 4
@@ -159,12 +159,12 @@ def verify_independence(
     else:
         tol_f = as_fraction(tol)
 
+    patterns = list(product((0, 1), repeat=len(chosen)))
+    atoms = [atom(family, bits, chosen) for bits in patterns]
     reports = []
     all_pass = True
-    for bits in product((0, 1), repeat=len(chosen)):
-        expr = atom(family, bits, chosen)
+    for bits, counts in zip(patterns, window_counts(atoms, windows, workers)):
         expected = expected_atom_density(family, bits, chosen)
-        counts = tuple(expr.prefix_count(n, workers) for n in windows)
         densities = tuple(Fraction(c, n) for c, n in zip(counts, windows))
         dev, osc, ok = tail_check(densities, expected, tol_f)
         all_pass = all_pass and ok

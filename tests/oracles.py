@@ -306,3 +306,47 @@ def coin_member(seed: int, t_in: Fraction, t_out: Fraction, in_distinguished: bo
     u = int(Philox(key=seed, counter=n // 4).random_raw(4)[n % 4])
     t = t_in if in_distinguished else t_out
     return u < math.floor(t * (1 << 64))
+
+
+# -- set expressions by pointwise evaluation --------------------------------
+# The reference for chunked counting: an expression is a nested tuple
+# evaluated index by index into a list of booleans, with no bitmasks,
+# no chunks and no count shortcuts.
+
+
+def expr_members(expr, n: int) -> list:
+    """Membership of each index in [0, n) in the set expression expr.
+
+    Leaves: ("periodic", residues, modulus), ("elements", members),
+    ("omega",) and ("empty",).  Nodes: ("complement", x),
+    ("intersect", x, ...), ("union", x, ...), ("sym_diff", x, y),
+    ("thin", x), which keeps x's members of even rank, and
+    ("scale", x, m) = {m * a : a in x}."""
+    kind, args = expr[0], expr[1:]
+    if kind == "periodic":
+        residues, modulus = args
+        return [i % modulus in residues for i in range(n)]
+    if kind == "elements":
+        return [i in args[0] for i in range(n)]
+    if kind in ("omega", "empty"):
+        return [kind == "omega"] * n
+    if kind == "scale":
+        x, m = args
+        base = expr_members(x, -(-n // m))
+        return [i % m == 0 and base[i // m] for i in range(n)]
+    parts = [expr_members(x, n) for x in args]
+    if kind == "complement":
+        return [not v for v in parts[0]]
+    if kind == "intersect":
+        return [all(vs) for vs in zip(*parts)]
+    if kind == "union":
+        return [any(vs) for vs in zip(*parts)]
+    if kind == "sym_diff":
+        return [a != b for a, b in zip(*parts)]
+    if kind == "thin":
+        out, rank = [], 0
+        for v in parts[0]:
+            out.append(v and rank % 2 == 0)
+            rank += v
+        return out
+    raise ValueError(f"unknown expression kind {kind!r}")

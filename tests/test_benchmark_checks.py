@@ -19,8 +19,9 @@ def test_benchmark_checker_passes():
 
 
 # The tracer wraps densfam functions and methods by name (cli.cmd_*,
-# reports.*_json, verify.field_elements, SetBase.bits_range, ...); a
-# rename breaks `perfbench/run.py --trace 1` and nothing else.
+# reports.*_json, verify.field_elements, SetBase.bits_range, ...) and
+# reads SetBase.caches_chunks; a rename breaks `perfbench/run.py --trace 1`
+# and nothing else.
 TRACED_RUN = """
 import json, sys, tempfile
 sys.path.insert(0, "perfbench")
@@ -32,9 +33,10 @@ with tempfile.TemporaryDirectory() as tmp:
     spec = tmp + "/spec.json"
     json.dump({"family": [{"name": "A0", "kind": "kw", "radicand": 2, "threshold": "0.3"}],
                "schedule": {"start": 2000, "ratio": "2", "count": 3}}, open(spec, "w"))
-    tracer.begin_op(0)
-    assert densfam.cli.main(["construct", spec, "--out", tmp + "/report.json"]) == 0
-    tracer.end_op()
+    for op, command in enumerate(["construct", "verify"]):
+        tracer.begin_op(op)
+        assert densfam.cli.main([command, spec, "--out", tmp + "/report.json"]) == 0
+        tracer.end_op()
 print(" ".join(sorted({s[0] for s in tracer.spans})))
 """
 
@@ -48,3 +50,5 @@ def test_tracer_installs_on_the_package():
     assert done.returncode == 0, done.stdout + done.stderr
     spans = set(done.stdout.split())
     assert {"cli.cmd_construct", "reports.band_json", "reports.render_report"} <= spans
+    # verify sweeps chunks, so the tracer's wrapper on SetBase.chunk_mask runs
+    assert {"cli.cmd_verify", "sets.chunk_mask.kw", "sets.chunk_mask.intersect"} <= spans

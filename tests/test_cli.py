@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from densfam import cli
+from densfam import cli, constructors, fixedpoint
 from densfam.cli import main
+from densfam.sets import CHUNK_BITS
 
 KW3 = {
     "family": [
@@ -308,7 +309,7 @@ def test_reports_are_byte_identical_across_workers(tmp_path):
 
 def test_extend_random_reports_are_byte_identical_across_workers(tmp_path):
     # the coin and the block member it is drawn over are computed in pool
-    # threads; a fresh spec load per run keeps every chunk cache cold
+    # threads; a fresh spec load per run shares no set between runs
     doc = {"family": [
         {"name": "C0", "kind": "coded", "sigma": "0110", "depth_limit": 4},
         {"name": "B0", "kind": "block", "classical": "C0"},
@@ -323,6 +324,57 @@ def test_extend_random_reports_are_byte_identical_across_workers(tmp_path):
                      "--distinguished", "B0", "--seed", "7", "--target", "3/5",
                      "--workers", w, "--out", outs[-1]]) == 0
     assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
+
+@pytest.mark.parametrize("command", [
+    ["verify"],
+    ["extend", "--mode", "thin", "--name", "T", "--family", "A0,A1"],
+    ["reap", "A0", "--intersections", "A1,A2"],
+], ids=["verify", "extend-thin", "reap-intersections"])
+def test_chunked_reports_are_byte_identical_across_workers(tmp_path, command):
+    # each thread sweeps its own range of the 16 chunks; the thin
+    # extension's threads first rank each atom below their range
+    spec = write_spec(tmp_path, KW3)
+    outs = []
+    for w in ("1", "2", "3", "8"):
+        outs.append(tmp_path / f"w{w}.json")
+        assert main([command[0], spec, *command[1:], "--prefix", str(16 * CHUNK_BITS),
+                     "--workers", w, "--out", str(outs[-1])]) in (0, 1)
+    assert len({o.read_bytes() for o in outs}) == 1
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", [["verify"], ["extend", "--mode", "thin", "--name", "T"]],
+                         ids=["verify", "extend-thin"])
+def test_each_rotation_chunk_is_computed_once_per_op(tmp_path, monkeypatch, command):
+    # one chunk-major sweep: every atom reads its three leaves' chunk
+    # from their one-chunk slots, so each leaf chunk is computed once
+    calls = _count_calls(monkeypatch, fixedpoint, "orbit_chunk_mask")
+    k = 3
+    assert main([command[0], write_spec(tmp_path, KW3), *command[1:],
+                 "--prefix", str(k * CHUNK_BITS), "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 3 * k
+
+
+def test_random_extension_draws_each_chunk_once(tmp_path, monkeypatch):
+    # the new member and its joint with the distinguished one share a sweep
+    calls = _count_calls(monkeypatch, constructors, "u64_range")
+    k = 3
+    assert main(["extend", write_spec(tmp_path, KW3), "--mode", "random", "--name", "X",
+                 "--distinguished", "A1", "--seed", "7", "--target", "2/5",
+                 "--prefix", str(k * CHUNK_BITS), "--out", str(tmp_path / "r.json")]) == 0
+    assert sorted(lo for _, lo, _ in calls) == [ci * CHUNK_BITS for ci in range(k)]
 
 
 def test_replay_from_embedded_spec(tmp_path):
@@ -562,3 +614,17 @@ def test_schedule_ratio_with_zero_denominator_is_parse_error(tmp_path, capsys):
     doc = {**KW3, "schedule": {"start": 2000, "ratio": "1/0", "count": 3}}
     assert main(["verify", write_spec(tmp_path, doc, "zero.json")]) == 2
     assert "bad schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["construct"],
+    ["verify"],
+    ["reap", "A1", "A0"],
+    ["extend", "--mode", "thin"],
+    ["extend", "--mode", "random", "--distinguished", "A1", "--seed", "7"],
+], ids=["construct", "verify", "reap", "extend-thin", "extend-random"])
+def test_workers_below_one_is_parse_error_naming_it(tmp_path, capsys, command, value):
+    argv = [command[0], write_spec(tmp_path, KW3), *command[1:], "--workers", value]
+    assert _exit_code(argv) == 2
+    assert f"argument --workers: must be at least 1, got {value}" in capsys.readouterr().err

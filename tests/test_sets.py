@@ -1,10 +1,13 @@
 """Core set representation: membership, chunk masks, exact counting."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from densfam import (
     complement,
     empty_set,
@@ -17,7 +20,7 @@ from densfam import (
     thin,
     union,
 )
-from densfam.sets import CHUNK_BITS, SetBase, bits_to_mask, mask_to_bits
+from densfam.sets import CHUNK_BITS, SetBase, bits_to_mask, mask_to_bits, window_counts
 
 # small finite sets as hypothesis ground truth
 finite_sets = st.frozensets(st.integers(min_value=0, max_value=400), max_size=60)
@@ -196,6 +199,73 @@ def test_bits_range_crosses_chunks():
     hi = CHUNK_BITS + 5
     got = s.bits_range(lo, hi)
     assert [int(b) for b in got] == [1 if n % 3 == 0 else 0 for n in range(lo, hi)]
+
+
+# -- random expression trees against the pointwise oracle ------------------
+
+# expressions are the nested tuples oracles.expr_members evaluates
+leaf_exprs = st.one_of(
+    st.builds(lambda m, rs: ("periodic", frozenset(r % m for r in rs), m),
+              st.integers(1, 12), st.lists(st.integers(0, 11), max_size=6)),
+    st.builds(lambda xs: ("elements", frozenset(xs)),
+              st.lists(st.integers(0, 3 * CHUNK_BITS), max_size=40)),
+    st.just(("omega",)),
+    st.just(("empty",)),
+)
+
+
+def _expr_nodes(children):
+    return st.one_of(
+        children.map(lambda x: ("complement", x)),
+        st.lists(children, min_size=1, max_size=3).map(lambda xs: ("intersect", *xs)),
+        st.lists(children, min_size=1, max_size=3).map(lambda xs: ("union", *xs)),
+        st.tuples(children, children).map(lambda xy: ("sym_diff", *xy)),
+        children.map(lambda x: ("thin", x)),
+        st.tuples(children, st.integers(1, 4)).map(lambda xm: ("scale", *xm)),
+    )
+
+
+expressions = st.recursive(leaf_exprs, _expr_nodes, max_leaves=4)
+
+_OPS = {"complement": complement, "intersect": intersect, "union": union,
+        "sym_diff": sym_diff, "thin": thin}
+
+
+def build(expr) -> SetBase:
+    kind, args = expr[0], expr[1:]
+    if kind == "periodic":
+        residues, modulus = args
+        return from_membership(lambda n: n % modulus in residues)
+    if kind == "elements":
+        return from_elements(args[0])
+    if kind == "omega":
+        return omega()
+    if kind == "empty":
+        return empty_set()
+    if kind == "scale":
+        return scale(build(args[0]), args[1])
+    return _OPS[kind](*map(build, args))
+
+
+@given(st.lists(expressions, min_size=1, max_size=2),
+       st.integers(2 * CHUNK_BITS + 1, 3 * CHUNK_BITS),
+       st.lists(st.floats(0, 1), min_size=1, max_size=4), st.data())
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_expression_counts_match_pointwise_oracle(exprs, n_max, fractions, data):
+    # windows reach into the third chunk, so a sweep crosses two chunk
+    # boundaries and three workers get one chunk each
+    windows = [int(f * n_max) for f in fractions] + [n_max]
+    truth = [oracles.expr_members(e, n_max) for e in exprs]
+    below = [[0, *accumulate(t)] for t in truth]
+    expected = [tuple(b[n] for n in windows) for b in below]
+    for workers in (1, 3):
+        assert window_counts([build(e) for e in exprs], windows, workers) == expected
+    # the second window starts past the first chunk, where a fresh thin
+    # must rank its base before its first chunk
+    for lo in (0, CHUNK_BITS):
+        start = data.draw(st.integers(lo, n_max - 1))
+        stop = data.draw(st.integers(start, min(n_max, start + 2 * CHUNK_BITS)))
+        assert build(exprs[0]).bits_range(start, stop).tolist() == truth[0][start:stop]
 
 
 # -- bit packing helpers ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Sign-pattern atoms, product-rule verification, field images."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from densfam import (
     kw_family,
     kw_set,
     random_extension,
+    thin_extension,
     verify_independence,
 )
 from densfam.verify import MAX_FIELD_MEMBERS, MAX_VERIFY_MEMBERS
@@ -142,6 +144,28 @@ def test_verify_workers_identical(kw_pair, small_schedule):
     r1 = verify_independence(kw_pair, schedule=small_schedule, workers=1)
     r2 = verify_independence(kw_pair, schedule=small_schedule, workers=4)
     assert [a.counts for a in r1.atoms] == [a.counts for a in r2.atoms]
+
+
+def _verify_peak(with_thin: bool, n: int) -> int:
+    fam = kw_family([2, 3, 5], [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)])
+    if with_thin:
+        fam = fam.extended("T", thin_extension(fam), Fraction(1, 2))
+    schedule = WindowSchedule(start=2000, ratio=Fraction(2), count=3).retarget(n)
+    tracemalloc.start()
+    try:
+        assert verify_independence(fam, schedule=schedule).passed
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("with_thin", [False, True], ids=["kw3", "kw3+thin-ext"])
+def test_verify_memory_is_flat_in_the_window(with_thin):
+    # a chunk-major sweep holds one chunk per set whatever the window:
+    # 8x the chunks may not raise the traced peak by more than 10%
+    _verify_peak(with_thin, 1 << 16)  # one-time allocations out of the way
+    small, large = _verify_peak(with_thin, 1 << 20), _verify_peak(with_thin, 1 << 23)
+    assert large <= 1.1 * small, (small, large)
 
 
 # -- field of generated sets ---------------------------------------------------
