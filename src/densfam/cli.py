@@ -34,6 +34,7 @@ from .constructors import (
     random_extension,
 )
 from .density import (
+    DEFAULT_TOL,
     DensityEstimate,
     WindowSchedule,
     as_fraction,
@@ -248,7 +249,7 @@ def cmd_reap(args) -> int:
     sched = _resolve_schedule(spec, args)
     tol = _resolve_tol(spec, args)
     if tol is None:
-        tol = Fraction(5, 1000)
+        tol = DEFAULT_TOL
     s = _named_set(spec, args.set)
     if not args.targets and not args.intersections:
         raise ValueError("no targets: give target names or --intersections")

@@ -93,6 +93,7 @@ class WindowSchedule:
 
 
 DEFAULT_SCHEDULE = WindowSchedule()
+DEFAULT_TOL = Fraction(5, 1000)
 
 TAIL_WINDOWS = 3
 
@@ -117,10 +118,9 @@ def default_tolerance(n_max: int, randomized: bool) -> Fraction:
     The square root is the integer square root, which is exact for the
     perfect-square window sizes used throughout and conservative else.
     """
-    base = Fraction(5, 1000)
     if not randomized:
-        return base
-    return max(base, Fraction(4, isqrt(n_max)))
+        return DEFAULT_TOL
+    return max(DEFAULT_TOL, Fraction(4, isqrt(n_max)))
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class DensityEstimate:
 def estimate_density(
     s: SetBase,
     schedule: WindowSchedule = DEFAULT_SCHEDULE,
-    tol: Rational = Fraction(5, 1000),
+    tol: Rational = DEFAULT_TOL,
     workers: int = 1,
 ) -> DensityEstimate:
     """Estimate the density of S over the schedule (see DensityEstimate.of)."""

@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Union
 from .constructors import Family
 from .density import (
     DEFAULT_SCHEDULE,
+    DEFAULT_TOL,
     Rational,
     WindowSchedule,
     as_fraction,
@@ -65,7 +66,7 @@ def bisect_check(
     s: SetBase,
     targets: Union[Family, Sequence],
     schedule: WindowSchedule = DEFAULT_SCHEDULE,
-    tol: Rational = Fraction(5, 1000),
+    tol: Rational = DEFAULT_TOL,
     workers: int = 1,
 ) -> BisectReport:
     """Check that S bisects every target set on the schedule.

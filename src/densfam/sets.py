@@ -26,7 +26,6 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 CHUNK_BITS = 1 << 16
-_CHUNK_BYTES = CHUNK_BITS // 8
 _FULL_CHUNK = (1 << CHUNK_BITS) - 1
 
 
@@ -74,11 +73,8 @@ class SetBase:
     def _compute_chunk(self, ci: int) -> int:
         # fallback: point-by-point oracle calls over the chunk
         base = ci * CHUNK_BITS
-        bits = bytearray(_CHUNK_BYTES)
-        for i in range(CHUNK_BITS):
-            if self.member(base + i):
-                bits[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(bytes(bits), "little")
+        members = map(self.member, range(base, base + CHUNK_BITS))
+        return bits_to_mask(np.fromiter(members, np.uint8, CHUNK_BITS))
 
     def chunk_mask(self, ci: int) -> int:
         """Membership bitmask for indices [ci*CHUNK_BITS, (ci+1)*CHUNK_BITS)."""
@@ -88,7 +84,9 @@ class SetBase:
         return got[1]
 
     def bits_range(self, start: int, stop: int) -> np.ndarray:
-        """Membership as a uint8 0/1 array over [start, stop)."""
+        """Membership as a uint8 0/1 array over [start, stop), start >= 0."""
+        if start < 0:
+            raise ValueError("bits_range start must be nonnegative")
         if stop <= start:
             return np.zeros(0, dtype=np.uint8)
         first = start // CHUNK_BITS
@@ -322,6 +320,8 @@ def scale(s: SetBase, factor: int) -> OmegaSet:
     """The set {factor * a : a in S}.
 
     Exact count identity: |scale(S,m) ∩ [0,n)| = |S ∩ [0, ceil(n/m))|.
+    A chunk at a is S's bits over [ceil(a/m), ceil((a + CHUNK_BITS)/m))
+    stored with stride m from offset ceil(a/m)*m - a.
     """
     if factor < 1:
         raise ValueError("scale factor must be a positive integer")
@@ -332,16 +332,9 @@ def scale(s: SetBase, factor: int) -> OmegaSet:
 
     def chunk(ci: int) -> int:
         a = ci * CHUNK_BITS
-        b = a + CHUNK_BITS
-        j0 = -(-a // m)
-        j1 = -(-b // m)
-        if j1 <= j0:
-            return 0
-        src = s.bits_range(j0, j1)
+        j0, j1 = -(-a // m), -(-(a + CHUNK_BITS) // m)
         out = np.zeros(CHUNK_BITS, dtype=np.uint8)
-        js = np.arange(j0, j1, dtype=np.int64)
-        keep = src != 0
-        out[(js[keep] * m - a)] = 1
+        out[j0 * m - a :: m] = s.bits_range(j0, j1)
         return bits_to_mask(out)
 
     return OmegaSet(
@@ -357,7 +350,10 @@ def thin(s: SetBase) -> OmegaSet:
 
     If x_0 < x_1 < ... enumerates S, the result is {x_0, x_2, x_4, ...}.
     Exact count identity: |thin(S) ∩ [0,n)| = ceil(|S ∩ [0,n)| / 2).
-    Each thread keeps a running rank of S, the next chunk index and S's
+    With P the chunk's inclusive prefix parity of S (bit i set when S has
+    an odd number of members in [0, i] of the chunk, by a doubling
+    shift-XOR scan), a chunk is S & P after an even count of S and S & ~P
+    after an odd one.  Each thread keeps the next chunk index and S's
     count below it, so a forward sweep gets each chunk's starting rank
     for free; any other chunk takes it from S's prefix count.
     """
@@ -375,11 +371,11 @@ def thin(s: SetBase) -> OmegaSet:
         if at != ci:
             below = s.prefix_count(ci * CHUNK_BITS)
         base = s.chunk_mask(ci)
-        positions = np.flatnonzero(mask_to_bits(base, CHUNK_BITS))
-        out = np.zeros(CHUNK_BITS, dtype=np.uint8)
-        out[positions[(below & 1)::2]] = 1
         ranks.at = (ci + 1, below + base.bit_count())
-        return bits_to_mask(out)
+        parity = base
+        for k in range(CHUNK_BITS.bit_length() - 1):
+            parity ^= parity << (1 << k)
+        return base & ~parity if below & 1 else base & parity
 
     return OmegaSet(
         is_member,

@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,6 +14,7 @@ from densfam import (
     from_elements,
     from_membership,
     intersect,
+    kw_set,
     omega,
     scale,
     sym_diff,
@@ -201,6 +202,56 @@ def test_bits_range_crosses_chunks():
     assert [int(b) for b in got] == [1 if n % 3 == 0 else 0 for n in range(lo, hi)]
 
 
+@pytest.mark.parametrize("make", [lambda: kw_set(2, "3/10"), omega,
+                                  lambda: from_elements([0, 3, 9])],
+                         ids=["kw", "omega", "explicit"])
+def test_bits_range_rejects_negative_start(make):
+    # below 0 nothing is a member, so a negative start has no honest answer
+    s = make()
+    with pytest.raises(ValueError, match="nonnegative"):
+        s.bits_range(-8, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        s.bits_range(-1, 5)
+    assert s.bits_range(0, 12).tolist() == [int(s.member(n)) for n in range(12)]
+
+
+# -- operator kernels at chunk edges, against the pointwise oracle ----------
+
+_HALF = CHUNK_BITS // 2
+# members of the second chunk, as offsets into it
+_THIN_CHUNKS = {
+    "empty": [],
+    "full": range(CHUNK_BITS),
+    "first-bit": [0],
+    "last-bit": [CHUNK_BITS - 1],
+    "both-halves": [i * i % CHUNK_BITS for i in range(1, 3000)] + [_HALF - 1, _HALF],
+    "one-per-half": [17, _HALF + 17],
+}
+
+
+@pytest.mark.parametrize("below", [4, 7])  # S's count before the chunk: even, odd
+@pytest.mark.parametrize("name", sorted(_THIN_CHUNKS))
+def test_thin_full_chunk_matches_oracle(name, below):
+    elems = frozenset(range(0, 2 * below, 2)) | {CHUNK_BITS + x for x in _THIN_CHUNKS[name]}
+    want = oracles.expr_members(("thin", ("elements", elems)), 2 * CHUNK_BITS)[CHUNK_BITS:]
+    # ranked from S's prefix count, and carried on from the chunk before
+    fresh, swept = thin(from_elements(elems)), thin(from_elements(elems))
+    swept.chunk_mask(0)
+    for t in (fresh, swept):
+        assert mask_to_bits(t.chunk_mask(1), CHUNK_BITS).tolist() == want
+
+
+@pytest.mark.parametrize("factor", [5, 7, 65_537])
+@pytest.mark.parametrize("ci", [1, 3])  # chunk starts 65,536 and 196,608
+def test_scale_chunk_off_progression_matches_oracle(factor, ci):
+    assert ci * CHUNK_BITS % factor != 0
+    expr = ("periodic", frozenset({1, 3, 4}), 7)
+    truth = oracles.expr_members(("scale", expr, factor), (ci + 1) * CHUNK_BITS)
+    got = scale(build(expr), factor).chunk_mask(ci)
+    assert mask_to_bits(got, CHUNK_BITS).tolist() == truth[ci * CHUNK_BITS:]
+    assert got != 0
+
+
 # -- random expression trees against the pointwise oracle ------------------
 
 # expressions are the nested tuples oracles.expr_members evaluates
@@ -250,7 +301,10 @@ def build(expr) -> SetBase:
 @given(st.lists(expressions, min_size=1, max_size=2),
        st.integers(2 * CHUNK_BITS + 1, 3 * CHUNK_BITS),
        st.lists(st.floats(0, 1), min_size=1, max_size=4), st.data())
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# no shrink phase: minimising a failure reruns the pointwise leaves until
+# hypothesis's time cap, so a failure would take minutes to report
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 def test_expression_counts_match_pointwise_oracle(exprs, n_max, fractions, data):
     # windows reach into the third chunk, so a sweep crosses two chunk
     # boundaries and three workers get one chunk each
