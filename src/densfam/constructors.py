@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .density import Rational, as_fraction
-from .rng import RNG_ALGORITHM, acceptance_threshold, u64_range
+from .rng import RNG_ALGORITHM, acceptance_threshold, check_seed, u64_range
 from .sets import CHUNK_BITS, OmegaSet, SetBase, bits_to_mask
 
 
@@ -111,12 +111,14 @@ def _default_names(k: int, prefix: str = "A") -> tuple[str, ...]:
 class KWSet(SetBase):
     """{n : frac(n * sqrt(radicand)) < p} with exact fixed-point orbits.
 
-    Membership compares the 96-bit orbit value against the threshold
-    plus a 2**-40 guard band; indices inside the band are resolved as
-    members and surface in the band diagnostic, never silently.  Prefix
-    counts and band counts are closed-form floor sums; chunks come from
-    the numpy limb kernel.  Every index bound above fx.INDEX_LIMIT is
-    rejected with a ValueError.
+    The set is defined by its chunks, from the numpy limb kernel: an
+    index is a member when its 96-bit orbit value lies below the
+    threshold plus a 2**-40 guard band.  Indices inside the band are
+    resolved as members and surface in the band diagnostic, never
+    silently.  Prefix counts and band counts are closed-form floor sums.
+    Every index bound above fx.INDEX_LIMIT is rejected with a
+    ValueError; the limit is a multiple of CHUNK_BITS, so the chunk
+    bound rejects exactly the indices at or past it.
     """
 
     def __init__(
@@ -141,12 +143,6 @@ class KWSet(SetBase):
     @property
     def descriptor(self) -> dict:
         return self._descriptor
-
-    def member(self, n: int) -> bool:
-        if n < 0:
-            return False
-        fx.check_index_bound(n + 1)
-        return fx.orbit_value(self._step, n) < self._thr_eff
 
     @property
     def count_hint(self) -> Callable[[int], int]:
@@ -251,7 +247,7 @@ def coded_independent_set(
         return bool((offset >> prefix_index[n]) & 1)
 
     return OmegaSet(
-        is_member,
+        membership=is_member,
         descriptor={
             "kind": "coded",
             "sigma": "".join(str(b) for b in bits),
@@ -350,14 +346,6 @@ class BlockParitySet(SetBase):
             width <<= 1
         self._periods[m] = p
         return p
-
-    def member(self, n: int) -> bool:
-        if n < 0:
-            return False
-        m = block_of(n)
-        start, _ = block_bounds(m)
-        v = (n - start) & ((1 << m) - 1)
-        return ((v & self.classical_mask(m)).bit_count() & 1) == 1
 
     def _count(self, n: int) -> int:
         total = 0
@@ -510,19 +498,18 @@ def random_extension(
     """Randomized new member with density `target` that provably fails
     the product rule against the distinguished member.
 
-    Membership at n is a deterministic counter-based coin: draw the
-    uint64 at (seed, n) and accept below a threshold chosen by whether n
-    lies in the distinguished member.  Identical seeds give identical
-    sets for any evaluation order or partition.
+    Index n joins by a deterministic counter-based coin: draw the uint64
+    at (seed, n) and accept below a threshold chosen by whether n lies in
+    the distinguished member.  A chunk draws its 65536 coins at once and
+    selects between the two thresholds' masks with the distinguished
+    member's chunk.  Identical seeds give identical sets for any
+    evaluation order or partition.  The seed must lie in [0, 2**128).
     """
+    check_seed(seed)
     a_set = family.set_of(distinguished)
     params = ExtensionParams.from_target(family.density_of(distinguished), target)
     thr1 = acceptance_threshold(params.t1)
     thr0 = acceptance_threshold(params.t0)
-
-    def is_member(n: int) -> bool:
-        u = int(u64_range(seed, n, n + 1)[0])
-        return u < (thr1 if a_set.member(n) else thr0)
 
     def chunk(ci: int) -> int:
         lo = ci * CHUNK_BITS
@@ -534,7 +521,6 @@ def random_extension(
         return (m1 & a) | (m0 & ~a)
 
     out = OmegaSet(
-        is_member,
         descriptor={
             "kind": "random-ext",
             "algorithm": RNG_ALGORITHM,

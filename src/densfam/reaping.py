@@ -116,9 +116,10 @@ def thin_extension(family: Family) -> OmegaSet:
     intersection, so within each intersection the new set holds
     ceil(count/2) of the first n indices: it bisects every nonempty
     intersection up to a one-index rounding error per pattern, and its
-    own density is 1/2.  The returned set carries no counting shortcut;
-    its counts come from actual membership masks, which keeps count
-    cross-checks meaningful.
+    own density is 1/2.  The returned set is the union's chunks under
+    the family's descriptor and carries no counting shortcut; its counts
+    come from actual membership masks, which keeps count cross-checks
+    meaningful.
     """
     k = len(family.names)
     thins = []
@@ -127,7 +128,6 @@ def thin_extension(family: Family) -> OmegaSet:
     combined = union(*thins) if len(thins) > 1 else thins[0]
 
     return OmegaSet(
-        combined.member,
         descriptor={"kind": "thin-ext", "family": list(family.names)},
         chunk_fn=combined.chunk_mask,
     )

@@ -19,7 +19,7 @@ RNG_ALGORITHM = "philox4x64"
 _LANES = 4
 
 
-def _check_seed(seed: int) -> int:
+def check_seed(seed: int) -> int:
     if not 0 <= seed < (1 << 128):
         raise ValueError("seed must be an integer in [0, 2**128)")
     return seed
@@ -27,7 +27,7 @@ def _check_seed(seed: int) -> int:
 
 def u64_range(seed: int, start: int, stop: int) -> np.ndarray:
     """uint64 draws for indices [start, stop), identical for any split."""
-    _check_seed(seed)
+    check_seed(seed)
     if stop <= start:
         return np.zeros(0, dtype=np.uint64)
     block0 = start // _LANES

@@ -1,11 +1,13 @@
 """Lazy subsets of the nonnegative integers with exact prefix counting.
 
-A set is represented by a pure membership oracle plus optional exact
-counting shortcuts.  Bulk counting never calls the oracle point by point
-if it can help it: membership over an aligned 65536-index chunk is
-materialized as a Python integer bitmask and combined with cheap
-bitwise operations.  All counts are exact integers; densities derived
-from them are exact ``Fraction`` values.
+A set is defined by its chunk kernel: membership over an aligned
+65536-index chunk, as a Python integer bitmask, combined with other
+sets' chunks by cheap bitwise operations.  Only the two pointwise kinds,
+``from_membership`` and coded classical sets, are given by a membership
+oracle instead, and their chunks are filled one oracle call per index.
+A set may also carry an exact count hint.  ``member`` reads one bit of
+a chunk, except on the pointwise kinds.  All counts are exact integers;
+densities derived from them are exact ``Fraction`` values.
 
 ``window_counts`` counts many sets in one chunk-major sweep, so a leaf
 shared by many expressions is computed once per chunk, and each set
@@ -55,7 +57,17 @@ class SetBase:
     # -- membership ---------------------------------------------------
 
     def member(self, n: int) -> bool:
-        raise NotImplementedError
+        """Whether n is in the set: bit n % CHUNK_BITS of chunk n // CHUNK_BITS.
+
+        No count calls this, and no command queries a kernel-backed set
+        point by point.  A query computes its whole chunk unless it is
+        the last one computed on this thread, so an isolated query costs
+        a chunk (about 0.3 ms for a rotation set), and every query
+        shifts an 8 KiB integer.
+        """
+        if n < 0:
+            return False
+        return bool(self.chunk_mask(n // CHUNK_BITS) >> (n % CHUNK_BITS) & 1)
 
     def __contains__(self, n: int) -> bool:
         return self.member(n)
@@ -71,10 +83,7 @@ class SetBase:
     # -- chunked evaluation -------------------------------------------
 
     def _compute_chunk(self, ci: int) -> int:
-        # fallback: point-by-point oracle calls over the chunk
-        base = ci * CHUNK_BITS
-        members = map(self.member, range(base, base + CHUNK_BITS))
-        return bits_to_mask(np.fromiter(members, np.uint8, CHUNK_BITS))
+        raise NotImplementedError
 
     def chunk_mask(self, ci: int) -> int:
         """Membership bitmask for indices [ci*CHUNK_BITS, (ci+1)*CHUNK_BITS)."""
@@ -98,7 +107,7 @@ class SetBase:
 
     def sweep_prefix(self, n: int, workers: int = 1) -> int:
         """Exact |S ∩ [0, n)| obtained from chunk masks alone (no hints)."""
-        unhinted = OmegaSet(self.member, chunk_fn=self.chunk_mask)
+        unhinted = OmegaSet(chunk_fn=self.chunk_mask)
         return window_counts([unhinted], (n,), workers)[0][0]
 
     def prefix_count(self, n: int, workers: int = 1) -> int:
@@ -162,22 +171,27 @@ def window_counts(
 
 
 class OmegaSet(SetBase):
-    """A subset of ω given by a pure membership oracle.
+    """A subset of ω given by a chunk function or a membership oracle.
 
+    ``chunk_fn`` supplies a whole 65536-index membership bitmask at once,
+    and ``member`` reads its bits.  A set defined point by point gives
+    ``membership`` instead: then ``member`` calls it, and with no
+    ``chunk_fn`` each chunk is filled one oracle call per index.
     ``count_hint``, when supplied, must return the exact value of
     |S ∩ [0, n)| for every n; it is trusted by ``prefix_count`` and is
     spot-checked against exhaustive counting in the test suite.
-    ``chunk_fn`` optionally supplies a whole 65536-index membership
-    bitmask at once; it must agree with the oracle bit for bit.
     """
 
     def __init__(
         self,
-        membership: Callable[[int], bool],
+        *,
+        membership: Optional[Callable[[int], bool]] = None,
         descriptor: Optional[dict] = None,
         count_hint: Optional[Callable[[int], int]] = None,
         chunk_fn: Optional[Callable[[int], int]] = None,
     ) -> None:
+        if membership is None and chunk_fn is None:
+            raise ValueError("a set needs a chunk function or a membership oracle")
         super().__init__()
         self._membership = membership
         self._descriptor = descriptor or {"kind": "oracle"}
@@ -185,9 +199,9 @@ class OmegaSet(SetBase):
         self._chunk_fn = chunk_fn
 
     def member(self, n: int) -> bool:
-        if n < 0:
-            return False
-        return bool(self._membership(n))
+        if self._membership is None:
+            return super().member(n)
+        return n >= 0 and bool(self._membership(n))
 
     @property
     def count_hint(self) -> Optional[Callable[[int], int]]:
@@ -200,7 +214,9 @@ class OmegaSet(SetBase):
     def _compute_chunk(self, ci: int) -> int:
         if self._chunk_fn is not None:
             return self._chunk_fn(ci)
-        return super()._compute_chunk(ci)
+        base = ci * CHUNK_BITS
+        members = map(self._membership, range(base, base + CHUNK_BITS))
+        return bits_to_mask(np.fromiter(members, bool, CHUNK_BITS))
 
 
 class SetExpr(SetBase):
@@ -217,13 +233,6 @@ class SetExpr(SetBase):
         super().__init__()
         self.op = op
         self.args = tuple(args)
-
-    def member(self, n: int) -> bool:
-        if self.op == "intersect":
-            return all(a.member(n) for a in self.args)
-        if self.op == "union":
-            return any(a.member(n) for a in self.args)
-        return self.args[0].member(n) != self.args[1].member(n)
 
     @property
     def descriptor(self) -> dict:
@@ -248,7 +257,6 @@ class SetExpr(SetBase):
 def omega() -> OmegaSet:
     """The full set of nonnegative integers."""
     return OmegaSet(
-        lambda n: True,
         descriptor={"kind": "omega"},
         count_hint=lambda n: n,
         chunk_fn=lambda ci: _FULL_CHUNK,
@@ -257,7 +265,6 @@ def omega() -> OmegaSet:
 
 def empty_set() -> OmegaSet:
     return OmegaSet(
-        lambda n: False,
         descriptor={"kind": "empty"},
         count_hint=lambda n: 0,
         chunk_fn=lambda ci: 0,
@@ -269,7 +276,6 @@ def from_elements(elements: Iterable[int]) -> OmegaSet:
     elems = sorted(set(int(e) for e in elements))
     if elems and elems[0] < 0:
         raise ValueError("elements must be nonnegative")
-    frozen = frozenset(elems)
     # int64 while every index a chunk search can meet fits in it
     top = elems[-1] if elems else -1
     arr = np.array(elems, dtype=np.int64 if top < (1 << 63) - CHUNK_BITS else object)
@@ -287,7 +293,6 @@ def from_elements(elements: Iterable[int]) -> OmegaSet:
         return bits_to_mask(bits)
 
     return OmegaSet(
-        lambda n: n in frozen,
         descriptor={"kind": "explicit", "size": len(elems)},
         count_hint=hint,
         chunk_fn=chunk,
@@ -295,21 +300,20 @@ def from_elements(elements: Iterable[int]) -> OmegaSet:
 
 
 def from_membership(fn: Callable[[int], bool], descriptor: Optional[dict] = None) -> OmegaSet:
-    return OmegaSet(fn, descriptor=descriptor or {"kind": "oracle"})
+    return OmegaSet(membership=fn, descriptor=descriptor or {"kind": "oracle"})
 
 
 # -- operations -------------------------------------------------------
 
 
 def complement(s: SetBase) -> OmegaSet:
-    """Pointwise complement within ω."""
+    """Complement within ω."""
     hint = None
     inner = s.count_hint
     if inner is not None:
         hint = lambda n: n - inner(n)  # noqa: E731
 
     return OmegaSet(
-        lambda n: not s.member(n),
         descriptor={"kind": "complement", "of": s.descriptor},
         count_hint=hint,
         chunk_fn=lambda ci: s.chunk_mask(ci) ^ _FULL_CHUNK,
@@ -338,7 +342,6 @@ def scale(s: SetBase, factor: int) -> OmegaSet:
         return bits_to_mask(out)
 
     return OmegaSet(
-        lambda n: n % m == 0 and s.member(n // m),
         descriptor={"kind": "scale", "factor": m, "of": s.descriptor},
         count_hint=hint,
         chunk_fn=chunk,
@@ -355,12 +358,10 @@ def thin(s: SetBase) -> OmegaSet:
     shift-XOR scan), a chunk is S & P after an even count of S and S & ~P
     after an odd one.  Each thread keeps the next chunk index and S's
     count below it, so a forward sweep gets each chunk's starting rank
-    for free; any other chunk takes it from S's prefix count.
+    for free; any other chunk, such as the one a lone membership query
+    reads, takes it from S's prefix count.
     """
     ranks = threading.local()
-
-    def is_member(n: int) -> bool:
-        return s.member(n) and s.prefix_count(n) % 2 == 0
 
     def hint(n: int) -> int:
         c = s.prefix_count(n)
@@ -378,7 +379,6 @@ def thin(s: SetBase) -> OmegaSet:
         return base & ~parity if below & 1 else base & parity
 
     return OmegaSet(
-        is_member,
         descriptor={"kind": "thin", "of": s.descriptor},
         count_hint=hint,
         chunk_fn=chunk,

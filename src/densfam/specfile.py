@@ -40,7 +40,6 @@ from typing import Optional
 
 from .constructors import (
     BlockParitySet,
-    ExtensionParams,
     Family,
     coded_independent_set,
     gap_family,
@@ -72,7 +71,6 @@ class LoadedSpec:
     schedule: WindowSchedule
     tol: Optional[Fraction]
     seeds: dict[str, int] = field(default_factory=dict)
-    extension_params: dict[str, ExtensionParams] = field(default_factory=dict)
 
     def require_family(self) -> Family:
         if self.family is None:
@@ -108,6 +106,16 @@ def parse_rational(value, what: str) -> Fraction:
         raise SpecError(f"{what} is not a rational: {value!r}") from None
 
 
+def parse_integer(value, what: str) -> int:
+    """An int, or a string spelling one; floats and bools are refused."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SpecError(f"{what} is not an integer: {value!r}")
+
+
 def _build_expr(node, sets: dict[str, SetBase], name: str) -> SetBase:
     if not isinstance(node, dict):
         raise SpecError(f"entry {name!r}: expression nodes must be objects")
@@ -120,6 +128,8 @@ def _build_expr(node, sets: dict[str, SetBase], name: str) -> SetBase:
     if op == "omega":
         return omega()
     args = node.get("args", [])
+    if not isinstance(args, list):
+        raise SpecError(f"entry {name!r}: expression 'args' must be a list")
     built = [_build_expr(a, sets, name) for a in args]
     if op == "complement":
         if len(built) != 1:
@@ -128,7 +138,7 @@ def _build_expr(node, sets: dict[str, SetBase], name: str) -> SetBase:
     if op == "scale":
         if len(built) != 1 or "factor" not in node:
             raise SpecError(f"entry {name!r}: scale takes one argument and a factor")
-        return scale(built[0], int(node["factor"]))
+        return scale(built[0], parse_integer(node["factor"], f"{name} scale factor"))
     if op == "intersect":
         return intersect(*built)
     if op == "union":
@@ -170,7 +180,6 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
     densities: dict[str, Fraction] = {}
     family_names: list[str] = []
     seeds: dict[str, int] = {}
-    ext_params: dict[str, ExtensionParams] = {}
 
     def define(name: str, s: SetBase, density: Optional[Fraction]) -> None:
         if not isinstance(name, str) or not name:
@@ -193,7 +202,7 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
         kind = _need(entry, "kind", name)
 
         if kind == "kw":
-            radicand = int(_need(entry, "radicand", name))
+            radicand = parse_integer(_need(entry, "radicand", name), f"{name} radicand")
             threshold = parse_rational(_need(entry, "threshold", name), f"{name} threshold")
             try:
                 s = kw_set(radicand, threshold)
@@ -205,7 +214,7 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
             sigma = str(_need(entry, "sigma", name))
             if any(c not in "01" for c in sigma):
                 raise SpecError(f"entry {name!r}: sigma must be a string of 0/1")
-            depth = int(entry.get("depth_limit", 4))
+            depth = parse_integer(entry.get("depth_limit", 4), f"{name} depth_limit")
             try:
                 s = coded_independent_set(tuple(int(c) for c in sigma), depth)
             except ValueError as e:
@@ -229,17 +238,17 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
                 raise SpecError(
                     f"entry {name!r} needs a seed (in the entry or via --seed)"
                 )
+            seed = parse_integer(seed, f"{name} seed")
             try:
-                s, params = random_extension(sub, distinguished, target, int(seed))
+                s, _ = random_extension(sub, distinguished, target, seed)
             except (ValueError, KeyError) as e:
                 raise SpecError(f"entry {name!r}: {e}") from None
-            seeds[name] = int(seed)
-            ext_params[name] = params
+            seeds[name] = seed
             define(name, s, target)
 
         elif kind == "gap":
             target = parse_rational(_need(entry, "target", name), f"{name} target")
-            size = int(_need(entry, "size", name))
+            size = parse_integer(_need(entry, "size", name), f"{name} size")
             try:
                 fam = gap_family(target, size, names=[f"{name}{i}" for i in range(size)])
             except ValueError as e:
@@ -283,7 +292,6 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
         schedule=schedule,
         tol=tol,
         seeds=seeds,
-        extension_params=ext_params,
     )
 
 
@@ -292,12 +300,13 @@ def schedule_from_doc(node) -> WindowSchedule:
         return WindowSchedule()
     if not isinstance(node, dict):
         raise SpecError("'schedule' must be an object")
+    start = parse_integer(node.get("start", 10_000), "schedule start")
+    count = parse_integer(node.get("count", 10), "schedule count")
+    end = node.get("end")
+    end = None if end is None else parse_integer(end, "schedule end")
     try:
         return WindowSchedule(
-            start=int(node.get("start", 10_000)),
-            ratio=as_fraction(node.get("ratio", 2)),
-            count=int(node.get("count", 10)),
-            end=int(node["end"]) if "end" in node and node["end"] is not None else None,
+            start=start, ratio=as_fraction(node.get("ratio", 2)), count=count, end=end
         )
     except (ValueError, ZeroDivisionError) as e:
         raise SpecError(f"bad schedule: {e}") from None

@@ -616,6 +616,50 @@ def test_schedule_ratio_with_zero_denominator_is_parse_error(tmp_path, capsys):
     assert "bad schedule" in capsys.readouterr().err
 
 
+def _kw(**fields):
+    return {"name": "A0", "kind": "kw", "radicand": 2, "threshold": "0.3", **fields}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"family": [_kw(radicand=2.7)]}, "A0 radicand is not an integer: 2.7"),
+    ({"family": [_kw(radicand="abc")]}, "A0 radicand is not an integer: 'abc'"),
+    ({"family": [_kw(radicand=True)]}, "A0 radicand is not an integer: True"),
+    ({"family": [_kw()], "schedule": {"start": 2.5, "count": 3}},
+     "schedule start is not an integer: 2.5"),
+    ({"family": [_kw()], "schedule": {"start": 2000, "count": "3x"}},
+     "schedule count is not an integer: '3x'"),
+    ({"family": [{"name": "G", "kind": "gap", "target": "0.9", "size": "x"}]},
+     "G size is not an integer: 'x'"),
+    ({"family": [_kw(), {"name": "C", "kind": "coded", "sigma": "01", "depth_limit": "z"}]},
+     "C depth_limit is not an integer: 'z'"),
+    ({"family": [_kw(), {"name": "S", "kind": "expr", "density": "0.1",
+                         "expr": {"op": "scale", "factor": "q", "args": [{"ref": "A0"}]}}]},
+     "S scale factor is not an integer: 'q'"),
+    ({"family": [_kw(), {"name": "R", "kind": "random-ext", "family": ["A0"],
+                         "distinguished": "A0", "target": "0.5", "seed": "s"}]},
+     "R seed is not an integer: 's'"),
+    ({"family": [_kw(), {"name": "E", "kind": "expr", "expr": {"op": "union", "args": 5}}]},
+     "entry 'E': expression 'args' must be a list"),
+], ids=["radicand-float", "radicand-word", "radicand-bool", "start-float", "count-word",
+        "gap-size", "depth-limit", "scale-factor", "seed-word", "args-not-list"])
+def test_bad_spec_integer_is_parse_error_naming_it(tmp_path, capsys, doc, message):
+    assert main(["construct", write_spec(tmp_path, doc)] + FAST) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["negative", "2**128"])
+@pytest.mark.parametrize("command", [["construct"], ["image"],
+                                     ["pack", "--side", "1", "--target", "0.3"]],
+                         ids=["construct", "image", "pack"])
+def test_random_ext_seed_out_of_range_is_parse_error_naming_it(tmp_path, capsys, command, seed):
+    doc = {"family": [_kw(), {"name": "R", "kind": "random-ext", "family": ["A0"],
+                              "distinguished": "A0", "target": "0.5", "seed": seed}]}
+    argv = [command[0], write_spec(tmp_path, doc), *command[1:]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: entry 'R': seed must be an integer in [0, 2**128)\n")
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("command", [
     ["construct"],

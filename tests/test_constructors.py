@@ -161,9 +161,10 @@ def test_kw_family_rejects_repeated_radicand():
 
 def test_kw_chunk_agrees_with_member():
     s = kw_set(3, Fraction(2, 7))
-    bits = s.bits_range(0, 3000)
+    walk = oracles.orbit_walk_mask(s._step, s._thr_eff, 0, 3000)
+    assert bits_to_mask(s.bits_range(0, 3000)) == walk
     for n in (0, 1, 17, 100, 2999):
-        assert bool(bits[n]) == s.member(n)
+        assert s.member(n) == bool(walk >> n & 1)
 
 
 def test_kw_band_bound_formula():
@@ -398,10 +399,13 @@ def test_random_extension_seed_sensitivity(kw_pair):
 
 
 def test_random_extension_chunk_agrees_with_member(kw_pair):
-    b, _ = random_extension(kw_pair, "A1", Fraction(2, 5), seed=3)
-    bits = b.bits_range(0, 1000)
+    b, p = random_extension(kw_pair, "A1", Fraction(2, 5), seed=3)
+    a = kw_pair.set_of("A1")
+    in_a = oracles.orbit_walk_mask(a._step, a._thr_eff, 0, 1000)
+    expect = [oracles.coin_member(3, p.t1, p.t0, bool(in_a >> n & 1), n) for n in range(1000)]
+    assert [bool(x) for x in b.bits_range(0, 1000)] == expect
     for n in (0, 1, 2, 99, 500, 999):
-        assert bool(bits[n]) == b.member(n)
+        assert b.member(n) == expect[n]
 
 
 def test_random_extension_unknown_member(kw_pair):

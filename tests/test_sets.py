@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from densfam import (
+    BlockParitySet,
+    Family,
     complement,
     empty_set,
     from_elements,
@@ -16,6 +18,7 @@ from densfam import (
     intersect,
     kw_set,
     omega,
+    random_extension,
     scale,
     sym_diff,
     thin,
@@ -213,6 +216,49 @@ def test_bits_range_rejects_negative_start(make):
     with pytest.raises(ValueError, match="nonnegative"):
         s.bits_range(-1, 5)
     assert s.bits_range(0, 12).tolist() == [int(s.member(n)) for n in range(12)]
+
+
+# -- membership read off the chunk, against the pointwise oracles -----------
+
+_MEMBER_INDICES = (0, CHUNK_BITS - 1, CHUNK_BITS, 3 * CHUNK_BITS + 5)
+_SPREAD = frozenset(i for i in range(4 * CHUNK_BITS) if i * i % 7 < 3)
+
+
+def _on_orbit(s):
+    return lambda n: oracles.orbit_walk_mask(s._step, s._thr_eff, n, 1) == 1
+
+
+def _member_case(kind):
+    """A set of the given kind and its membership by an independent oracle."""
+    if kind == "kw":
+        s = kw_set(2, "3/10")
+        return s, _on_orbit(s)
+    if kind == "block":
+        members = {0, 3, 4, 9, 11}
+        starts = oracles.factorial_block_starts(8)
+        return (BlockParitySet(from_membership(members.__contains__)),
+                lambda n: oracles.block_parity_member_enum(members, n, starts))
+    if kind == "random-ext":
+        a = kw_set(3, "1/2")
+        s, p = random_extension(Family(("A",), (a,), (a.declared,)), "A", "2/5", seed=3)
+        in_a = _on_orbit(a)
+        return s, lambda n: oracles.coin_member(3, p.t1, p.t0, in_a(n), n)
+    leaf = ("elements", _SPREAD)
+    expr, s = {
+        "explicit": (leaf, from_elements(_SPREAD)),
+        "complement": (("complement", leaf), complement(from_elements(_SPREAD))),
+        "thin": (("thin", leaf), thin(from_elements(_SPREAD))),
+        "scale": (("scale", leaf, 5), scale(from_elements(_SPREAD), 5)),
+    }[kind]
+    return s, oracles.expr_members(expr, _MEMBER_INDICES[-1] + 1).__getitem__
+
+
+@pytest.mark.parametrize("kind", ["kw", "block", "random-ext", "thin", "scale",
+                                  "complement", "explicit"])
+def test_member_reads_its_chunk_bit(kind):
+    s, truth = _member_case(kind)
+    assert [s.member(n) for n in _MEMBER_INDICES] == [truth(n) for n in _MEMBER_INDICES]
+    assert s.member(-1) is False
 
 
 # -- operator kernels at chunk edges, against the pointwise oracle ----------
