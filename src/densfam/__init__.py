@@ -42,7 +42,6 @@ from .reaping import (
 )
 from .sets import (
     CHUNK_BITS,
-    OmegaSet,
     SetBase,
     SetExpr,
     complement,

@@ -56,6 +56,7 @@ from .reports import (
     verification_json,
     witness_json,
 )
+from .rng import check_seed
 from .sets import SetBase, intersect, window_counts
 from .specfile import LoadedSpec, SpecError, load_spec, parse_rational, read_spec_file
 from .verify import BandDiagnostic, field_values, verify_independence
@@ -79,7 +80,20 @@ def _parse_schedule_flag(text: str) -> WindowSchedule:
 
 
 def _load(args) -> LoadedSpec:
+    if args.seed is not None:
+        try:
+            check_seed(args.seed, "--seed")
+        except ValueError as e:
+            raise SpecError(str(e)) from None
     return load_spec(read_spec_file(args.spec), default_seed=args.seed)
+
+
+def _unit_flag(text: str, flag: str) -> Fraction:
+    """A rational flag that must lie strictly in (0,1)."""
+    x = parse_rational(text, flag)
+    if not 0 < x < 1:
+        raise SpecError(f"{flag} must lie strictly in (0,1)")
+    return x
 
 
 def _named_set(spec: LoadedSpec, name: str) -> SetBase:
@@ -218,7 +232,7 @@ def cmd_verify(args) -> int:
 def cmd_image(args) -> int:
     spec = _load(args)
     family = spec.require_family()
-    grid = parse_rational(args.grid, "--grid")
+    grid = _unit_flag(args.grid, "--grid")
     values = field_values(family, args.names or None)
     scan = values.scan(grid)
     rendered = [
@@ -314,7 +328,7 @@ def cmd_extend(args) -> int:
         seed = args.seed
         if seed is None:
             raise ValueError("--seed is required for random mode")
-        target = parse_rational(args.target, "--target")
+        target = _unit_flag(args.target, "--target")
         new_set, params = random_extension(base, args.distinguished, target, seed)
         descriptor = {
             "name": args.name,
@@ -357,7 +371,7 @@ def cmd_pack(args) -> int:
     spec = _load(args)
     family = spec.require_family()
     base = family.subfamily(args.members.split(",")) if args.members else family
-    result = greedy_atom_pack(base, args.side, parse_rational(args.target, "--target"))
+    result = greedy_atom_pack(base, args.side, _unit_flag(args.target, "--target"))
 
     passed = result.certificate_ok()
     rows = (

@@ -32,7 +32,7 @@ import numpy as np
 from . import fixedpoint as fx
 from .density import Rational, as_fraction
 from .rng import RNG_ALGORITHM, acceptance_threshold, check_seed, u64_range
-from .sets import CHUNK_BITS, OmegaSet, SetBase, bits_to_mask
+from .sets import CHUNK_BITS, SetBase, bits_to_mask
 
 
 # -- families ----------------------------------------------------------
@@ -132,17 +132,12 @@ class KWSet(SetBase):
             thr_fixed = fx.threshold_fixed(declared)
         if not fx.GUARD < thr_fixed < fx.MOD - 2 * fx.GUARD:
             raise ValueError("threshold too close to 0 or 1 for guarded comparison")
-        super().__init__()
+        super().__init__({"kind": "kw", "radicand": radicand, "threshold": str(declared)})
         self.radicand = radicand
         self.declared = declared
         self._step = step
         self._thr = thr_fixed
         self._thr_eff = thr_fixed + fx.GUARD
-        self._descriptor = {"kind": "kw", "radicand": radicand, "threshold": str(declared)}
-
-    @property
-    def descriptor(self) -> dict:
-        return self._descriptor
 
     @property
     def count_hint(self) -> Callable[[int], int]:
@@ -208,7 +203,7 @@ def _coded_starts(depth: int) -> list[int]:
 def coded_independent_set(
     sigma: Union[Sequence[int], Callable[[int], int]],
     depth_limit: int = 4,
-) -> OmegaSet:
+) -> SetBase:
     """Classical independent set coded by a binary parameter string.
 
     Index space is a concatenation of blocks; block n enumerates all
@@ -246,13 +241,9 @@ def coded_independent_set(
         offset = k - starts[n]
         return bool((offset >> prefix_index[n]) & 1)
 
-    return OmegaSet(
+    return SetBase(
+        {"kind": "coded", "sigma": "".join(str(b) for b in bits), "depth_limit": depth_limit},
         membership=is_member,
-        descriptor={
-            "kind": "coded",
-            "sigma": "".join(str(b) for b in bits),
-            "depth_limit": depth_limit,
-        },
     )
 
 
@@ -307,30 +298,18 @@ class BlockParitySet(SetBase):
     """
 
     def __init__(self, classical: SetBase) -> None:
-        super().__init__()
+        super().__init__({"kind": "block", "classical": classical.descriptor})
         self._classical = classical
-        # (m, mask of the classical set on [0, m)), replaced as a whole
-        self._cls: tuple[int, int] = (0, 0)
         self._periods: dict[int, int] = {}
-        self._descriptor = {"kind": "block", "classical": classical.descriptor}
-
-    @property
-    def descriptor(self) -> dict:
-        return self._descriptor
 
     @property
     def count_hint(self) -> Callable[[int], int]:
         return self._count
 
     def classical_mask(self, m: int) -> int:
-        """Bitmask of the classical set's membership on [0, m)."""
-        known, mask = self._cls
-        if known < m:
-            for n in range(known, m):
-                if self._classical.member(n):
-                    mask |= 1 << n
-            self._cls = (m, mask)
-        return mask & ((1 << m) - 1)
+        """Bitmask of the classical set's membership on [0, m); m stays
+        below about 30, since block m already has 2**m * (m+1)! indices."""
+        return sum(1 << n for n in range(m) if self._classical.member(n))
 
     def _period(self, m: int) -> int:
         got = self._periods.get(m)
@@ -494,7 +473,7 @@ def random_extension(
     distinguished: str,
     target: Rational,
     seed: int,
-) -> tuple[OmegaSet, ExtensionParams]:
+) -> tuple[SetBase, ExtensionParams]:
     """Randomized new member with density `target` that provably fails
     the product rule against the distinguished member.
 
@@ -520,8 +499,8 @@ def random_extension(
         a = a_set.chunk_mask(ci)
         return (m1 & a) | (m0 & ~a)
 
-    out = OmegaSet(
-        descriptor={
+    out = SetBase(
+        {
             "kind": "random-ext",
             "algorithm": RNG_ALGORITHM,
             "seed": seed,

@@ -25,7 +25,7 @@ from .density import (
     as_fraction,
     tail_check,
 )
-from .sets import OmegaSet, SetBase, intersect, thin, union, window_counts
+from .sets import SetBase, intersect, thin, union, window_counts
 from .verify import atom
 
 
@@ -109,7 +109,7 @@ def bisect_check(
     return BisectReport(schedule=schedule, tol=tol_f, members=tuple(reports), passed=all_pass)
 
 
-def thin_extension(family: Family) -> OmegaSet:
+def thin_extension(family: Family) -> SetBase:
     """Union of the thinned sign-pattern intersections of the family.
 
     Every sign pattern keeps exactly the even-rank members of its
@@ -127,10 +127,8 @@ def thin_extension(family: Family) -> OmegaSet:
         thins.append(thin(atom(family, bits)))
     combined = union(*thins) if len(thins) > 1 else thins[0]
 
-    return OmegaSet(
-        descriptor={"kind": "thin-ext", "family": list(family.names)},
-        chunk_fn=combined.chunk_mask,
-    )
+    descriptor = {"kind": "thin-ext", "family": list(family.names)}
+    return SetBase(descriptor, chunk_fn=combined.chunk_mask)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ RNG_ALGORITHM = "philox4x64"
 _LANES = 4
 
 
-def check_seed(seed: int) -> int:
+def check_seed(seed: int, what: str = "seed") -> int:
     if not 0 <= seed < (1 << 128):
-        raise ValueError("seed must be an integer in [0, 2**128)")
+        raise ValueError(f"{what} must be an integer in [0, 2**128)")
     return seed
 
 

@@ -1,13 +1,16 @@
 """Lazy subsets of the nonnegative integers with exact prefix counting.
 
-A set is defined by its chunk kernel: membership over an aligned
-65536-index chunk, as a Python integer bitmask, combined with other
-sets' chunks by cheap bitwise operations.  Only the two pointwise kinds,
-``from_membership`` and coded classical sets, are given by a membership
-oracle instead, and their chunks are filled one oracle call per index.
-A set may also carry an exact count hint.  ``member`` reads one bit of
-a chunk, except on the pointwise kinds.  All counts are exact integers;
-densities derived from them are exact ``Fraction`` values.
+Every set is one type, ``SetBase``: a descriptor, a chunk kernel or a
+membership oracle, and an optional exact count hint, all fixed when the
+set is built.  A chunk is membership over an aligned 65536-index range,
+as a Python integer bitmask, combined with other sets' chunks by cheap
+bitwise operations.  Only the two pointwise kinds, ``from_membership``
+and coded classical sets, are given by an oracle, and their chunks are
+filled one oracle call per index; ``member`` reads one bit of a chunk
+on every other kind.  Rotation, block-parity and boolean-combination
+sets subclass ``SetBase`` to supply their own kernel.  All counts are
+exact integers; densities derived from them are exact ``Fraction``
+values.
 
 ``window_counts`` counts many sets in one chunk-major sweep, so a leaf
 shared by many expressions is computed once per chunk, and each set
@@ -44,20 +47,43 @@ def mask_to_bits(mask: int, width: int) -> np.ndarray:
 
 
 class SetBase:
-    """Shared counting machinery for all set representations."""
+    """A subset of ω: a descriptor plus a chunk function or a membership
+    oracle, and an optional exact count hint, all fixed when it is built.
+
+    ``chunk_fn(ci)`` supplies the whole 65536-index membership bitmask of
+    chunk ci.  A set defined point by point gives ``membership`` instead:
+    then ``member`` calls it, and each chunk is filled one oracle call
+    per index.  ``count_hint``, when supplied, must return the exact
+    value of |S ∩ [0, n)| for every n; it is trusted by ``prefix_count``
+    and is spot-checked against exhaustive counting in the test suite.
+    A kind with its own kernel subclasses this and overrides
+    ``_compute_chunk`` (and ``count_hint`` when it counts in closed form).
+    """
 
     # read only by perfbench/tracer.py, which counts chunk-cache hits on
     # sets where it is true; no set keeps more than its one-chunk slot
     caches_chunks = False
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        descriptor: dict,
+        *,
+        chunk_fn: Optional[Callable[[int], int]] = None,
+        membership: Optional[Callable[[int], bool]] = None,
+        count_hint: Optional[Callable[[int], int]] = None,
+    ) -> None:
+        self.descriptor = descriptor
+        self._chunk_fn = chunk_fn
+        self._membership = membership
+        self._count_hint = count_hint
         # per thread: (ci, mask) of the last chunk computed there
         self._slot = threading.local()
 
     # -- membership ---------------------------------------------------
 
     def member(self, n: int) -> bool:
-        """Whether n is in the set: bit n % CHUNK_BITS of chunk n // CHUNK_BITS.
+        """Whether n is in the set: the oracle's answer, or else bit
+        n % CHUNK_BITS of chunk n // CHUNK_BITS.
 
         No count calls this, and no command queries a kernel-backed set
         point by point.  A query computes its whole chunk unless it is
@@ -67,6 +93,8 @@ class SetBase:
         """
         if n < 0:
             return False
+        if self._membership is not None:
+            return bool(self._membership(n))
         return bool(self.chunk_mask(n // CHUNK_BITS) >> (n % CHUNK_BITS) & 1)
 
     def __contains__(self, n: int) -> bool:
@@ -74,16 +102,16 @@ class SetBase:
 
     @property
     def count_hint(self) -> Optional[Callable[[int], int]]:
-        return None
-
-    @property
-    def descriptor(self) -> dict:
-        return {"kind": "abstract"}
+        return self._count_hint
 
     # -- chunked evaluation -------------------------------------------
 
     def _compute_chunk(self, ci: int) -> int:
-        raise NotImplementedError
+        if self._membership is None:
+            return self._chunk_fn(ci)
+        base = ci * CHUNK_BITS
+        members = map(self._membership, range(base, base + CHUNK_BITS))
+        return bits_to_mask(np.fromiter(members, bool, CHUNK_BITS))
 
     def chunk_mask(self, ci: int) -> int:
         """Membership bitmask for indices [ci*CHUNK_BITS, (ci+1)*CHUNK_BITS)."""
@@ -107,7 +135,7 @@ class SetBase:
 
     def sweep_prefix(self, n: int, workers: int = 1) -> int:
         """Exact |S ∩ [0, n)| obtained from chunk masks alone (no hints)."""
-        unhinted = OmegaSet(chunk_fn=self.chunk_mask)
+        unhinted = SetBase(self.descriptor, chunk_fn=self.chunk_mask)
         return window_counts([unhinted], (n,), workers)[0][0]
 
     def prefix_count(self, n: int, workers: int = 1) -> int:
@@ -170,55 +198,6 @@ def window_counts(
     return [next(totals) if h is None else tuple(map(h, windows)) for h in hints]
 
 
-class OmegaSet(SetBase):
-    """A subset of ω given by a chunk function or a membership oracle.
-
-    ``chunk_fn`` supplies a whole 65536-index membership bitmask at once,
-    and ``member`` reads its bits.  A set defined point by point gives
-    ``membership`` instead: then ``member`` calls it, and with no
-    ``chunk_fn`` each chunk is filled one oracle call per index.
-    ``count_hint``, when supplied, must return the exact value of
-    |S ∩ [0, n)| for every n; it is trusted by ``prefix_count`` and is
-    spot-checked against exhaustive counting in the test suite.
-    """
-
-    def __init__(
-        self,
-        *,
-        membership: Optional[Callable[[int], bool]] = None,
-        descriptor: Optional[dict] = None,
-        count_hint: Optional[Callable[[int], int]] = None,
-        chunk_fn: Optional[Callable[[int], int]] = None,
-    ) -> None:
-        if membership is None and chunk_fn is None:
-            raise ValueError("a set needs a chunk function or a membership oracle")
-        super().__init__()
-        self._membership = membership
-        self._descriptor = descriptor or {"kind": "oracle"}
-        self._count_hint = count_hint
-        self._chunk_fn = chunk_fn
-
-    def member(self, n: int) -> bool:
-        if self._membership is None:
-            return super().member(n)
-        return n >= 0 and bool(self._membership(n))
-
-    @property
-    def count_hint(self) -> Optional[Callable[[int], int]]:
-        return self._count_hint
-
-    @property
-    def descriptor(self) -> dict:
-        return self._descriptor
-
-    def _compute_chunk(self, ci: int) -> int:
-        if self._chunk_fn is not None:
-            return self._chunk_fn(ci)
-        base = ci * CHUNK_BITS
-        members = map(self._membership, range(base, base + CHUNK_BITS))
-        return bits_to_mask(np.fromiter(members, bool, CHUNK_BITS))
-
-
 class SetExpr(SetBase):
     """Finite boolean combination of sets: intersection, union, or
     symmetric difference of already-built nodes."""
@@ -230,13 +209,9 @@ class SetExpr(SetBase):
             raise ValueError("sym_diff takes exactly two operands")
         if not args:
             raise ValueError("set operation needs at least one operand")
-        super().__init__()
+        super().__init__({"kind": op, "args": [a.descriptor for a in args]})
         self.op = op
         self.args = tuple(args)
-
-    @property
-    def descriptor(self) -> dict:
-        return {"kind": self.op, "args": [a.descriptor for a in self.args]}
 
     def _compute_chunk(self, ci: int) -> int:
         masks = [a.chunk_mask(ci) for a in self.args]
@@ -254,24 +229,16 @@ class SetExpr(SetBase):
 # -- constructors -----------------------------------------------------
 
 
-def omega() -> OmegaSet:
+def omega() -> SetBase:
     """The full set of nonnegative integers."""
-    return OmegaSet(
-        descriptor={"kind": "omega"},
-        count_hint=lambda n: n,
-        chunk_fn=lambda ci: _FULL_CHUNK,
-    )
+    return SetBase({"kind": "omega"}, chunk_fn=lambda ci: _FULL_CHUNK, count_hint=lambda n: n)
 
 
-def empty_set() -> OmegaSet:
-    return OmegaSet(
-        descriptor={"kind": "empty"},
-        count_hint=lambda n: 0,
-        chunk_fn=lambda ci: 0,
-    )
+def empty_set() -> SetBase:
+    return SetBase({"kind": "empty"}, chunk_fn=lambda ci: 0, count_hint=lambda n: 0)
 
 
-def from_elements(elements: Iterable[int]) -> OmegaSet:
+def from_elements(elements: Iterable[int]) -> SetBase:
     """Finite explicit set; useful as a leaf in tests and expressions."""
     elems = sorted(set(int(e) for e in elements))
     if elems and elems[0] < 0:
@@ -292,35 +259,35 @@ def from_elements(elements: Iterable[int]) -> OmegaSet:
         bits[(arr[i:j] - lo).astype(np.intp)] = 1
         return bits_to_mask(bits)
 
-    return OmegaSet(
-        descriptor={"kind": "explicit", "size": len(elems)},
+    return SetBase(
+        {"kind": "explicit", "size": len(elems)},
         count_hint=hint,
         chunk_fn=chunk,
     )
 
 
-def from_membership(fn: Callable[[int], bool], descriptor: Optional[dict] = None) -> OmegaSet:
-    return OmegaSet(membership=fn, descriptor=descriptor or {"kind": "oracle"})
+def from_membership(fn: Callable[[int], bool], descriptor: Optional[dict] = None) -> SetBase:
+    return SetBase(descriptor or {"kind": "oracle"}, membership=fn)
 
 
 # -- operations -------------------------------------------------------
 
 
-def complement(s: SetBase) -> OmegaSet:
+def complement(s: SetBase) -> SetBase:
     """Complement within ω."""
     hint = None
     inner = s.count_hint
     if inner is not None:
         hint = lambda n: n - inner(n)  # noqa: E731
 
-    return OmegaSet(
-        descriptor={"kind": "complement", "of": s.descriptor},
+    return SetBase(
+        {"kind": "complement", "of": s.descriptor},
         count_hint=hint,
         chunk_fn=lambda ci: s.chunk_mask(ci) ^ _FULL_CHUNK,
     )
 
 
-def scale(s: SetBase, factor: int) -> OmegaSet:
+def scale(s: SetBase, factor: int) -> SetBase:
     """The set {factor * a : a in S}.
 
     Exact count identity: |scale(S,m) ∩ [0,n)| = |S ∩ [0, ceil(n/m))|.
@@ -341,14 +308,14 @@ def scale(s: SetBase, factor: int) -> OmegaSet:
         out[j0 * m - a :: m] = s.bits_range(j0, j1)
         return bits_to_mask(out)
 
-    return OmegaSet(
-        descriptor={"kind": "scale", "factor": m, "of": s.descriptor},
+    return SetBase(
+        {"kind": "scale", "factor": m, "of": s.descriptor},
         count_hint=hint,
         chunk_fn=chunk,
     )
 
 
-def thin(s: SetBase) -> OmegaSet:
+def thin(s: SetBase) -> SetBase:
     """Every other element of S: keep members of even rank.
 
     If x_0 < x_1 < ... enumerates S, the result is {x_0, x_2, x_4, ...}.
@@ -378,8 +345,8 @@ def thin(s: SetBase) -> OmegaSet:
             parity ^= parity << (1 << k)
         return base & ~parity if below & 1 else base & parity
 
-    return OmegaSet(
-        descriptor={"kind": "thin", "of": s.descriptor},
+    return SetBase(
+        {"kind": "thin", "of": s.descriptor},
         count_hint=hint,
         chunk_fn=chunk,
     )

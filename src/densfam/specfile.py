@@ -48,15 +48,7 @@ from .constructors import (
 )
 from .density import WindowSchedule, as_fraction
 from .reaping import thin_extension
-from .sets import (
-    SetBase,
-    complement,
-    intersect,
-    omega,
-    scale,
-    sym_diff,
-    union,
-)
+from .sets import SetBase, SetExpr, complement, omega, scale
 
 
 class SpecError(ValueError):
@@ -139,14 +131,8 @@ def _build_expr(node, sets: dict[str, SetBase], name: str) -> SetBase:
         if len(built) != 1 or "factor" not in node:
             raise SpecError(f"entry {name!r}: scale takes one argument and a factor")
         return scale(built[0], parse_integer(node["factor"], f"{name} scale factor"))
-    if op == "intersect":
-        return intersect(*built)
-    if op == "union":
-        return union(*built)
-    if op == "sym_diff":
-        if len(built) != 2:
-            raise SpecError(f"entry {name!r}: sym_diff takes two arguments")
-        return sym_diff(built[0], built[1])
+    if op in ("intersect", "union", "sym_diff"):
+        return SetExpr(op, tuple(built))
     raise SpecError(f"entry {name!r}: unknown expression op {op!r}")
 
 
@@ -195,31 +181,18 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
             densities[name] = density
             family_names.append(name)
 
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise SpecError("each family entry must be an object")
-        name = _need(entry, "name", "<unnamed>")
-        kind = _need(entry, "kind", name)
-
+    def build_entry(entry: dict, name: str, kind: str) -> None:
         if kind == "kw":
             radicand = parse_integer(_need(entry, "radicand", name), f"{name} radicand")
             threshold = parse_rational(_need(entry, "threshold", name), f"{name} threshold")
-            try:
-                s = kw_set(radicand, threshold)
-            except ValueError as e:
-                raise SpecError(f"entry {name!r}: {e}") from None
-            define(name, s, threshold)
+            define(name, kw_set(radicand, threshold), threshold)
 
         elif kind == "coded":
             sigma = str(_need(entry, "sigma", name))
             if any(c not in "01" for c in sigma):
                 raise SpecError(f"entry {name!r}: sigma must be a string of 0/1")
             depth = parse_integer(entry.get("depth_limit", 4), f"{name} depth_limit")
-            try:
-                s = coded_independent_set(tuple(int(c) for c in sigma), depth)
-            except ValueError as e:
-                raise SpecError(f"entry {name!r}: {e}") from None
-            define(name, s, None)
+            define(name, coded_independent_set(tuple(int(c) for c in sigma), depth), None)
 
         elif kind == "block":
             ref = _need(entry, "classical", name)
@@ -228,38 +201,25 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
             define(name, BlockParitySet(sets[ref]), Fraction(1, 2))
 
         elif kind == "random-ext":
-            sub = _subfamily(
-                _need(entry, "family", name), sets, densities, name
-            )
+            sub = _subfamily(_need(entry, "family", name), sets, densities, name)
             distinguished = _need(entry, "distinguished", name)
             target = parse_rational(_need(entry, "target", name), f"{name} target")
             seed = entry.get("seed", default_seed)
             if seed is None:
-                raise SpecError(
-                    f"entry {name!r} needs a seed (in the entry or via --seed)"
-                )
+                raise SpecError(f"entry {name!r} needs a seed (in the entry or via --seed)")
             seed = parse_integer(seed, f"{name} seed")
-            try:
-                s, _ = random_extension(sub, distinguished, target, seed)
-            except (ValueError, KeyError) as e:
-                raise SpecError(f"entry {name!r}: {e}") from None
+            s, _ = random_extension(sub, distinguished, target, seed)
             seeds[name] = seed
             define(name, s, target)
 
         elif kind == "gap":
             target = parse_rational(_need(entry, "target", name), f"{name} target")
             size = parse_integer(_need(entry, "size", name), f"{name} size")
-            try:
-                fam = gap_family(target, size, names=[f"{name}{i}" for i in range(size)])
-            except ValueError as e:
-                raise SpecError(f"entry {name!r}: {e}") from None
-            for n, s, d in fam.items():
+            for n, s, d in gap_family(target, size, [f"{name}{i}" for i in range(size)]).items():
                 define(n, s, d)
 
         elif kind == "thin-ext":
-            sub = _subfamily(
-                _need(entry, "family", name), sets, densities, name
-            )
+            sub = _subfamily(_need(entry, "family", name), sets, densities, name)
             define(name, thin_extension(sub), Fraction(1, 2))
 
         elif kind == "expr":
@@ -271,6 +231,19 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
 
         else:
             raise SpecError(f"entry {name!r} has unknown kind {kind!r}")
+
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise SpecError("each family entry must be an object")
+        name = _need(entry, "name", "<unnamed>")
+        kind = _need(entry, "kind", name)
+        try:
+            build_entry(entry, name, kind)
+        except SpecError:
+            raise
+        except (ValueError, KeyError) as e:
+            # a constructor's own check, named by the entry it failed on
+            raise SpecError(f"entry {name!r}: {e}") from None
 
     family = None
     if family_names:

@@ -607,6 +607,25 @@ def test_bad_rational_flag_is_parse_error_naming_it(tmp_path, capsys, command, f
     assert capsys.readouterr().err == f"error: {flag} is not a rational: {value!r}\n"
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    (["extend", "--mode", "random", "--distinguished", "A1"], "--seed", "-1",
+     "--seed must be an integer in [0, 2**128)"),
+    (["extend", "--mode", "random", "--distinguished", "A1"], "--seed", str(1 << 128),
+     "--seed must be an integer in [0, 2**128)"),
+    (["image"], "--grid", "0", "--grid must lie strictly in (0,1)"),
+    (["image"], "--grid", "2", "--grid must lie strictly in (0,1)"),
+    (["pack", "--side", "1"], "--target", "1.5", "--target must lie strictly in (0,1)"),
+    (["extend", "--mode", "random", "--distinguished", "A1", "--seed", "7"], "--target", "0",
+     "--target must lie strictly in (0,1)"),
+], ids=["extend-seed-negative", "extend-seed-2**128", "image-grid-0", "image-grid-2",
+        "pack-target", "extend-random-target"])
+def test_out_of_range_flag_is_parse_error_naming_it(tmp_path, capsys, command, flag, value,
+                                                     message):
+    argv = [command[0], write_spec(tmp_path, KW3), *command[1:], flag, value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_schedule_ratio_with_zero_denominator_is_parse_error(tmp_path, capsys):
     path = write_spec(tmp_path, KW3)
     assert main(["verify", path, "--schedule", "2000,1/0,3"]) == 2
@@ -645,6 +664,24 @@ def _kw(**fields):
 def test_bad_spec_integer_is_parse_error_naming_it(tmp_path, capsys, doc, message):
     assert main(["construct", write_spec(tmp_path, doc)] + FAST) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _expr(expr):
+    return {"family": [_kw(), {"name": "E", "kind": "expr", "density": "0.1", "expr": expr}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_expr({"op": "scale", "factor": 0, "args": [{"ref": "A0"}]}),
+     "scale factor must be a positive integer"),
+    (_expr({"op": "scale", "factor": -2, "args": [{"ref": "A0"}]}),
+     "scale factor must be a positive integer"),
+    (_expr({"op": "intersect", "args": []}), "set operation needs at least one operand"),
+    (_expr({"op": "union", "args": []}), "set operation needs at least one operand"),
+    (_expr({"op": "sym_diff", "args": [{"ref": "A0"}]}), "sym_diff takes exactly two operands"),
+], ids=["scale-0", "scale-negative", "intersect-empty", "union-empty", "sym-diff-arity"])
+def test_bad_expr_entry_is_parse_error_naming_it(tmp_path, capsys, doc, message):
+    assert main(["construct", write_spec(tmp_path, doc)] + FAST) == 2
+    assert capsys.readouterr().err == f"error: entry 'E': {message}\n"
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["negative", "2**128"])

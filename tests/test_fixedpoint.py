@@ -2,8 +2,6 @@
 limb chunk kernel bit for bit, floor-sum counts and band counts exactly,
 and the enforced 2**40 validity domain."""
 
-import gc
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -12,8 +10,8 @@ from hypothesis import strategies as st
 
 import densfam.fixedpoint as fx
 import oracles
-from densfam import coded_independent_set, kw_set
-from densfam.constructors import BlockParitySet, KWSet
+from densfam import kw_set
+from densfam.constructors import KWSet
 from densfam.sets import CHUNK_BITS
 
 RADICANDS = (2, 3, 5, 6, 7, 10, 11, 13, 101, 9973)
@@ -161,26 +159,3 @@ def test_kw_rejects_indices_past_the_limit(call):
     s = kw_set(2, Fraction(1, 2))
     with pytest.raises(ValueError, match=r"2\*\*40"):
         call(s)
-
-
-# -- sets are freed by reference counting ------------------------------------------
-
-
-def _dies_without_gc(make):
-    gc.disable()
-    try:
-        s = make()
-        s.chunk_mask(0)
-        ref = weakref.ref(s)
-        del s
-        return ref() is None
-    finally:
-        gc.enable()
-
-
-def test_kw_set_freed_without_cyclic_gc():
-    assert _dies_without_gc(lambda: kw_set(2, Fraction(3, 10)))
-
-
-def test_block_parity_set_freed_without_cyclic_gc():
-    assert _dies_without_gc(lambda: BlockParitySet(coded_independent_set("01", 3)))

@@ -1,5 +1,7 @@
 """Core set representation: membership, chunk masks, exact counting."""
 
+import gc
+import weakref
 from itertools import accumulate
 
 import numpy as np
@@ -11,17 +13,20 @@ import oracles
 from densfam import (
     BlockParitySet,
     Family,
+    coded_independent_set,
     complement,
     empty_set,
     from_elements,
     from_membership,
     intersect,
+    kw_family,
     kw_set,
     omega,
     random_extension,
     scale,
     sym_diff,
     thin,
+    thin_extension,
     union,
 )
 from densfam.sets import CHUNK_BITS, SetBase, bits_to_mask, mask_to_bits, window_counts
@@ -259,6 +264,41 @@ def test_member_reads_its_chunk_bit(kind):
     s, truth = _member_case(kind)
     assert [s.member(n) for n in _MEMBER_INDICES] == [truth(n) for n in _MEMBER_INDICES]
     assert s.member(-1) is False
+
+
+# -- every set kind is freed by reference counting -------------------------
+
+_PAIR = ((2, 3), ("3/10", "1/2"))
+_FREED_KINDS = {
+    "omega": omega,
+    "empty": empty_set,
+    "explicit": lambda: from_elements(_SPREAD),
+    "oracle": lambda: from_membership(lambda n: n % 3 == 0),
+    "coded": lambda: coded_independent_set("01", 3),
+    "complement": lambda: complement(kw_set(2, "3/10")),
+    "scale": lambda: scale(from_elements(_SPREAD), 5),
+    "thin": lambda: thin(kw_set(2, "3/10")),
+    "intersect": lambda: intersect(kw_set(2, "3/10"), kw_set(3, "1/2")),
+    "random-ext": lambda: random_extension(kw_family(*_PAIR), "A0", "2/5", seed=3)[0],
+    "thin-ext": lambda: thin_extension(kw_family(*_PAIR)),
+    "kw": lambda: kw_set(2, "3/10"),
+    "block": lambda: BlockParitySet(coded_independent_set("01", 3)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_FREED_KINDS))
+def test_every_set_kind_is_freed_without_cyclic_gc(kind):
+    # a set that refers to itself (a bound method stored on it, a closure
+    # over it) would live on until the cyclic collector runs
+    gc.disable()
+    try:
+        s = _FREED_KINDS[kind]()
+        s.chunk_mask(0)
+        ref = weakref.ref(s)
+        del s
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- operator kernels at chunk edges, against the pointwise oracle ----------
