@@ -58,7 +58,14 @@ from .reports import (
 )
 from .rng import check_seed
 from .sets import SetBase, intersect, window_counts
-from .specfile import LoadedSpec, SpecError, load_spec, parse_rational, read_spec_file
+from .specfile import (
+    LoadedSpec,
+    SpecError,
+    load_spec,
+    parse_rational,
+    parse_tolerance,
+    read_spec_file,
+)
 from .verify import BandDiagnostic, field_values, verify_independence
 
 EXIT_OK = 0
@@ -107,7 +114,10 @@ def _resolve_schedule(spec: LoadedSpec, args) -> WindowSchedule:
     if args.schedule is not None:
         sched = _parse_schedule_flag(args.schedule)
     if args.prefix is not None:
-        sched = sched.retarget(args.prefix)
+        try:
+            sched = sched.retarget(args.prefix)
+        except ValueError as e:
+            raise SpecError(f"--prefix: {e}") from None
     # rotation sets reject windows past their validity limit themselves,
     # but only once a sweep reaches that far; fail before the sweep
     if any(isinstance(s, KWSet) for s in spec.sets.values()):
@@ -116,7 +126,7 @@ def _resolve_schedule(spec: LoadedSpec, args) -> WindowSchedule:
 
 
 def _resolve_tol(spec: LoadedSpec, args) -> Optional[Fraction]:
-    return spec.tol if args.tol is None else parse_rational(args.tol, "--tol")
+    return spec.tol if args.tol is None else parse_tolerance(args.tol, "--tol")
 
 
 def _emit(text: str, args) -> None:

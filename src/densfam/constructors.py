@@ -250,8 +250,8 @@ def coded_independent_set(
 # -- factorial-block parity transform ----------------------------------
 
 
-# start index of block m; block m has 2**m * (m+1)! indices.  Pool
-# threads grow it at once, so it is only ever replaced by a whole tuple.
+# start index of block m; block m has 2**m * (m+1)! indices.  A caller's
+# threads may grow it at once, so it is only ever replaced by a whole tuple.
 _block_starts: tuple[int, ...] = (0,)
 
 

@@ -14,17 +14,15 @@ values.
 
 ``window_counts`` counts many sets in one chunk-major sweep, so a leaf
 shared by many expressions is computed once per chunk, and each set
-keeps only the last chunk it computed on each thread: memory is flat
-in the window size.  The chunk range may be split into contiguous
-parts counted on separate threads and reduced by summation, so results
-are identical for any worker count.
+keeps only the last chunk it computed: memory is flat in the window
+size.  The chunk range may be split into contiguous parts counted in
+forked worker processes and reduced by summation, so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -76,8 +74,10 @@ class SetBase:
         self._chunk_fn = chunk_fn
         self._membership = membership
         self._count_hint = count_hint
-        # per thread: (ci, mask) of the last chunk computed there
-        self._slot = threading.local()
+        # (ci, mask) of the last chunk computed.  Like thin's (next ci, count
+        # below), it is a pure function of its chunk index and is replaced in
+        # one step, so a set that a caller shares across threads stays exact.
+        self._chunk: tuple[int, int] = (-1, 0)
 
     # -- membership ---------------------------------------------------
 
@@ -87,7 +87,7 @@ class SetBase:
 
         No count calls this, and no command queries a kernel-backed set
         point by point.  A query computes its whole chunk unless it is
-        the last one computed on this thread, so an isolated query costs
+        the last one the set computed, so an isolated query costs
         a chunk (about 0.3 ms for a rotation set), and every query
         shifts an 8 KiB integer.
         """
@@ -115,9 +115,9 @@ class SetBase:
 
     def chunk_mask(self, ci: int) -> int:
         """Membership bitmask for indices [ci*CHUNK_BITS, (ci+1)*CHUNK_BITS)."""
-        got = getattr(self._slot, "chunk", None)
-        if got is None or got[0] != ci:
-            got = self._slot.chunk = (ci, self._compute_chunk(ci))
+        got = self._chunk
+        if got[0] != ci:
+            got = self._chunk = (ci, self._compute_chunk(ci))
         return got[1]
 
     def bits_range(self, start: int, stop: int) -> np.ndarray:
@@ -157,8 +157,10 @@ def window_counts(
 
     A set with a count hint is counted by it.  The others share one pass
     over the chunks in index order that evaluates every set at a chunk
-    before the next; with workers > 1 each thread sweeps one contiguous
-    range of chunks and the ranges' counts are summed.
+    before the next; with workers > 1 each of up to that many forked
+    processes sweeps one contiguous range of chunks on its own copy of
+    the sets, and the ranges' counts are summed.  Without fork the sweep
+    runs in the calling process.
     """
     if any(n < 0 for n in windows):
         raise ValueError("prefix bound must be nonnegative")
@@ -187,15 +189,40 @@ def window_counts(
 
     chunks = -(-max(windows, default=0) // CHUNK_BITS) if swept else 0
     k = min(workers, chunks)
+    if k > 1:
+        import multiprocessing  # here, so that importing densfam skips it
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            k = 1
     if k <= 1:
-        # on the calling thread, so its one-chunk slots outlive the call
+        # in the calling process, so its one-chunk slots outlive the call
         parts = [sweep(range(chunks))]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         ranges = [range(chunks * i // k, chunks * (i + 1) // k) for i in range(k)]
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            parts = list(pool.map(sweep, ranges))
+        # fork hands each worker the sweep closure unpickled.  Leaving the
+        # block joins every worker, and a worker that dies raises
+        # BrokenProcessPool here instead of hanging the call.
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(k, fork, _adopt_sweep, (sweep,)) as pool:
+            parts = list(pool.map(_run_sweep, ranges))
     totals = iter([tuple(map(sum, zip(*(p[i] for p in parts)))) for i in range(len(swept))])
     return [next(totals) if h is None else tuple(map(h, windows)) for h in hints]
+
+
+# set in each pool worker by its initializer: the sweep of the
+# window_counts call that forked it
+_worker_sweep = None
+
+
+def _adopt_sweep(sweep) -> None:
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _run_sweep(chunks: range) -> list[list[int]]:
+    return _worker_sweep(chunks)
 
 
 class SetExpr(SetBase):
@@ -323,23 +350,24 @@ def thin(s: SetBase) -> SetBase:
     With P the chunk's inclusive prefix parity of S (bit i set when S has
     an odd number of members in [0, i] of the chunk, by a doubling
     shift-XOR scan), a chunk is S & P after an even count of S and S & ~P
-    after an odd one.  Each thread keeps the next chunk index and S's
-    count below it, so a forward sweep gets each chunk's starting rank
-    for free; any other chunk, such as the one a lone membership query
+    after an odd one.  The set keeps the next chunk index and S's count
+    below it, so a forward sweep gets each chunk's starting rank for
+    free; any other chunk, such as the one a lone membership query
     reads, takes it from S's prefix count.
     """
-    ranks = threading.local()
+    rank = (0, 0)  # (next chunk index, S's count below it); see SetBase._chunk
 
     def hint(n: int) -> int:
         c = s.prefix_count(n)
         return (c + 1) // 2
 
     def chunk(ci: int) -> int:
-        at, below = getattr(ranks, "at", (0, 0))
+        nonlocal rank
+        at, below = rank
         if at != ci:
             below = s.prefix_count(ci * CHUNK_BITS)
         base = s.chunk_mask(ci)
-        ranks.at = (ci + 1, below + base.bit_count())
+        rank = (ci + 1, below + base.bit_count())
         parity = base
         for k in range(CHUNK_BITS.bit_length() - 1):
             parity ^= parity << (1 << k)

@@ -98,6 +98,14 @@ def parse_rational(value, what: str) -> Fraction:
         raise SpecError(f"{what} is not a rational: {value!r}") from None
 
 
+def parse_tolerance(value, what: str) -> Fraction:
+    """A tolerance: a rational at least 0 (0 fails any nonzero deviation)."""
+    tol = parse_rational(value, what)
+    if tol < 0:
+        raise SpecError(f"{what} must be nonnegative")
+    return tol
+
+
 def parse_integer(value, what: str) -> int:
     """An int, or a string spelling one; floats and bools are refused."""
     if isinstance(value, (int, str)) and not isinstance(value, bool):
@@ -256,7 +264,7 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
     schedule = schedule_from_doc(doc.get("schedule"))
     tol = None
     if "tol" in doc:
-        tol = parse_rational(doc["tol"], "tol")
+        tol = parse_tolerance(doc["tol"], "tol")
 
     return LoadedSpec(
         doc=doc,

@@ -309,7 +309,7 @@ def test_reports_are_byte_identical_across_workers(tmp_path):
 
 def test_extend_random_reports_are_byte_identical_across_workers(tmp_path):
     # the coin and the block member it is drawn over are computed in pool
-    # threads; a fresh spec load per run shares no set between runs
+    # workers; a fresh spec load per run shares no set between runs
     doc = {"family": [
         {"name": "C0", "kind": "coded", "sigma": "0110", "depth_limit": 4},
         {"name": "B0", "kind": "block", "classical": "C0"},
@@ -332,8 +332,8 @@ def test_extend_random_reports_are_byte_identical_across_workers(tmp_path):
     ["reap", "A0", "--intersections", "A1,A2"],
 ], ids=["verify", "extend-thin", "reap-intersections"])
 def test_chunked_reports_are_byte_identical_across_workers(tmp_path, command):
-    # each thread sweeps its own range of the 16 chunks; the thin
-    # extension's threads first rank each atom below their range
+    # each worker process sweeps its own range of the 16 chunks; the thin
+    # extension's workers first rank each atom below their range
     spec = write_spec(tmp_path, KW3)
     outs = []
     for w in ("1", "2", "3", "8"):
@@ -562,11 +562,29 @@ def test_reap_zero_tolerance_is_kept(tmp_path, capsys, where):
     assert rep["passed"] is False
 
 
-def test_prefix_zero_is_a_bound_like_any_other(tmp_path, capsys):
-    path = write_spec(tmp_path, KW3)
-    for prefix in ("0", "-5"):
-        assert main(["construct", path, "--prefix", prefix]) == 3
-        assert f"cannot fit a 3-window schedule below {prefix}" in capsys.readouterr().err
+@pytest.mark.parametrize("prefix", ["-5", "0", "2"])
+def test_prefix_that_fits_no_schedule_is_parse_error_naming_it(tmp_path, capsys, prefix):
+    # at ratio 2, 3 is the least prefix with three increasing windows (1, 2, 3)
+    assert main(["construct", write_spec(tmp_path, KW3), "--prefix", prefix]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --prefix: cannot fit a 3-window schedule below {prefix}\n"
+
+
+@pytest.mark.parametrize("command, tol, spec_tol", [
+    (["verify"], "-1", None),
+    (["construct"], "-1", None),
+    (["reap", "A1", "A0"], "-1", None),
+    (["extend", "--mode", "thin"], "-0.01", None),
+    (["construct"], None, "-1/100"),
+    (["verify"], None, "-1/100"),
+], ids=["verify-flag", "construct-flag", "reap-flag", "extend-flag", "construct-spec",
+        "verify-spec"])
+def test_negative_tolerance_is_parse_error_naming_it(tmp_path, capsys, command, tol, spec_tol):
+    doc = KW3 if spec_tol is None else {**KW3, "tol": spec_tol}
+    flags = [] if tol is None else ["--tol", tol]
+    assert main([command[0], write_spec(tmp_path, doc), *command[1:], *flags]) == 2
+    name = "tol" if tol is None else "--tol"
+    assert capsys.readouterr().err == f"error: {name} must be nonnegative\n"
 
 
 def _exit_code(argv) -> int:

@@ -37,7 +37,7 @@ from densfam import (
     random_extension,
     square_free_radicands,
 )
-from densfam.sets import CHUNK_BITS, bits_to_mask
+from densfam.sets import CHUNK_BITS, SetBase, bits_to_mask, thin
 
 rationals_01 = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
                             max_denominator=100)
@@ -344,6 +344,15 @@ def test_classical_mask_is_thread_safe():
     for _ in range(20):
         bp = BlockParitySet(from_membership(lambda n: n % 3 != 0))
         assert race(lambda: bp.classical_mask(3000)) == [expect] * 4
+
+
+def test_thin_set_shared_across_threads_stays_exact():
+    # the threads share the thin set's last-chunk tuple and running rank;
+    # each tuple depends on its chunk index only.  Three base members per
+    # chunk make the kept bits flip with the rank parity at every chunk.
+    for _ in range(5):
+        t = thin(SetBase({"kind": "probe"}, chunk_fn=lambda ci: 0b111))
+        assert race(lambda: t.sweep_prefix(64 * CHUNK_BITS)) == [96] * 4
 
 
 def test_block_bounds_are_thread_safe(monkeypatch):

@@ -1,6 +1,8 @@
 """Core set representation: membership, chunk masks, exact counting."""
 
 import gc
+import multiprocessing
+import os
 import weakref
 from itertools import accumulate
 
@@ -200,6 +202,44 @@ def test_workers_do_not_change_counts():
     s = from_membership(lambda n: (n * n) % 11 < 4)
     big = 3 * CHUNK_BITS + 1234
     assert s.sweep_prefix(big, workers=1) == s.sweep_prefix(big, workers=4)
+
+
+def chunks_away_from(pid: int) -> SetBase:
+    """Chunk ci holds ci in its low bits, plus bit 20 when it is computed
+    in a process other than pid."""
+    return SetBase({"kind": "probe"}, chunk_fn=lambda ci: ci | (os.getpid() != pid) << 20)
+
+
+def test_pool_counts_in_worker_processes_and_joins_them():
+    windows = (CHUNK_BITS + 5, 9 * CHUNK_BITS)
+    # chunks 0..8 hold 13 low bits, 1 of them below the first window;
+    # each chunk swept in a worker adds bit 20, which only chunk 0 has
+    # below the first window
+    assert window_counts([chunks_away_from(os.getpid())], windows, 1) == [(1, 13)]
+    assert window_counts([chunks_away_from(os.getpid())], windows, 3) == [(2, 22)]
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_raises_a_chunk_error_as_one_process_does():
+    def chunk(ci: int) -> int:
+        if ci == 5:
+            raise ValueError("no chunk 5")
+        return ci
+
+    for workers in (1, 3):
+        with pytest.raises(ValueError, match="^no chunk 5$"):
+            window_counts([SetBase({"kind": "probe"}, chunk_fn=chunk)], (9 * CHUNK_BITS,), workers)
+        assert multiprocessing.active_children() == []
+
+
+def test_without_fork_the_sweep_runs_in_the_calling_process(monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a pool was made")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    windows = (CHUNK_BITS + 5, 9 * CHUNK_BITS)
+    assert window_counts([chunks_away_from(os.getpid())], windows, 3) == [(1, 13)]
 
 
 def test_bits_range_crosses_chunks():
