@@ -381,7 +381,12 @@ def f2_rank(vectors: Sequence[int]) -> int:
     return rank
 
 
-def alignment_block(classical: Sequence[SetBase], max_block: int = 16) -> Optional[int]:
+MAX_ALIGNMENT_BLOCK = 16
+
+
+def alignment_block(
+    classical: Sequence[SetBase], max_block: int = MAX_ALIGNMENT_BLOCK
+) -> Optional[int]:
     """First block index m at which the classical sets' initial-segment
     indicator vectors reach full rank over GF(2), or None if that never
     happens up to max_block.
@@ -400,20 +405,20 @@ def alignment_block(classical: Sequence[SetBase], max_block: int = 16) -> Option
 def block_transform(
     classical: Sequence[SetBase],
     names: Optional[Sequence[str]] = None,
-    max_block: int = 16,
 ) -> Family:
     """Parity-transform a finite list of classical sets into a family of
     density-1/2 sets; exact equal block shares kick in at the alignment
-    block recorded in the family's meta."""
+    block recorded in the family's meta, searched up to block
+    MAX_ALIGNMENT_BLOCK."""
     if len(classical) == 0:
         raise ValueError("family must be nonempty")
     sets = tuple(BlockParitySet(c) for c in classical)
     names = tuple(names) if names is not None else _default_names(len(sets), "B")
-    m0 = alignment_block(classical, max_block)
+    m0 = alignment_block(classical)
     meta = {"alignment_block": m0}
     if m0 is None:
         meta["alignment_note"] = (
-            f"indicator rank never reached {len(classical)} up to block {max_block}; "
+            f"indicator rank never reached {len(classical)} up to block {MAX_ALIGNMENT_BLOCK}; "
             "equal block shares are not guaranteed"
         )
     return Family(names, sets, tuple(Fraction(1, 2) for _ in sets), meta)

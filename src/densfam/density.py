@@ -7,6 +7,8 @@ over the final three windows.  "Converged" here means the oscillation
 fell below the tolerance on this schedule.  That is a finite heuristic:
 a set can oscillate at scales beyond the largest window, so a converged
 status is evidence, not proof, and reports always carry the schedule.
+The estimates count in the calling process; to split a sweep across
+processes, call ``window_counts`` with a worker count.
 """
 
 from __future__ import annotations
@@ -164,41 +166,36 @@ def estimate_density(
     s: SetBase,
     schedule: WindowSchedule = DEFAULT_SCHEDULE,
     tol: Rational = DEFAULT_TOL,
-    workers: int = 1,
 ) -> DensityEstimate:
     """Estimate the density of S over the schedule (see DensityEstimate.of)."""
     windows = schedule.windows()
-    return DensityEstimate.of(windows, window_counts([s], windows, workers)[0], tol)
+    return DensityEstimate.of(windows, window_counts([s], windows)[0], tol)
 
 
-def upper_density_estimate(
-    s: SetBase, schedule: WindowSchedule = DEFAULT_SCHEDULE, workers: int = 1
-) -> Fraction:
+def upper_density_estimate(s: SetBase, schedule: WindowSchedule = DEFAULT_SCHEDULE) -> Fraction:
     """Maximum window density over the schedule tail.
 
     A finite surrogate for the limsup density: it can only see
     oscillation at the scales the tail windows sample.
     """
     tail = schedule.windows()[-TAIL_WINDOWS:]
-    counts = window_counts([s], tail, workers)[0]
+    counts = window_counts([s], tail)[0]
     return max(Fraction(c, n) for c, n in zip(counts, tail))
 
 
-def rho_estimate(
-    x: SetBase, y: SetBase, schedule: WindowSchedule = DEFAULT_SCHEDULE, workers: int = 1
-) -> Fraction:
+def rho_estimate(x: SetBase, y: SetBase, schedule: WindowSchedule = DEFAULT_SCHEDULE) -> Fraction:
     """Finite-window estimate of the symmetric-difference pseudometric:
     the upper-density estimate of X Δ Y."""
-    return upper_density_estimate(sym_diff(x, y), schedule, workers)
+    return upper_density_estimate(sym_diff(x, y), schedule)
 
 
-def relative_density(s: SetBase, b: SetBase, n: int, workers: int = 1) -> Fraction:
+def relative_density(s: SetBase, b: SetBase, n: int) -> Fraction:
     """Exact |S ∩ B ∩ [0,n)| / |B ∩ [0,n)|.
 
     Raises ZeroDivisionError with a clear message when B has no members
     below n.
     """
-    (denom,), (num,) = window_counts([b, intersect(s, b)], (n,), workers)
+    (denom,), (num,) = window_counts([b, intersect(s, b)], (n,))
     if denom == 0:
         raise ZeroDivisionError(f"relative density undefined: no members below {n}")
     return Fraction(num, denom)

@@ -50,7 +50,9 @@ class BisectReport:
     passed: bool
 
 
-def _named_sets(r: Union[Family, Sequence], prefix: str = "R") -> list[tuple[str, SetBase]]:
+def _named_sets(r: Union[Family, Sequence]) -> list[tuple[str, SetBase]]:
+    """(name, set) pairs of a family, or of a sequence of sets and
+    (name, set) tuples, where a bare set at position i is named R<i>."""
     if isinstance(r, Family):
         return [(n, s) for n, s, _ in r.items()]
     out = []
@@ -58,7 +60,7 @@ def _named_sets(r: Union[Family, Sequence], prefix: str = "R") -> list[tuple[str
         if isinstance(entry, tuple):
             out.append((str(entry[0]), entry[1]))
         else:
-            out.append((f"{prefix}{i}", entry))
+            out.append((f"R{i}", entry))
     return out
 
 
@@ -121,14 +123,10 @@ def thin_extension(family: Family) -> SetBase:
     come from actual membership masks, which keeps count cross-checks
     meaningful.
     """
-    k = len(family.names)
-    thins = []
-    for bits in product((0, 1), repeat=k):
-        thins.append(thin(atom(family, bits)))
-    combined = union(*thins) if len(thins) > 1 else thins[0]
-
+    patterns = product((0, 1), repeat=len(family.names))
+    thins = [thin(atom(family, bits)) for bits in patterns]
     descriptor = {"kind": "thin-ext", "family": list(family.names)}
-    return SetBase(descriptor, chunk_fn=combined.chunk_mask)
+    return SetBase(descriptor, chunk_fn=union(*thins).chunk_mask)
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,6 @@ def nonindependence_witness(
     a_density: Rational,
     schedule: WindowSchedule = DEFAULT_SCHEDULE,
     margin: Optional[Rational] = None,
-    workers: int = 1,
 ) -> WitnessReport:
     """Compare the empirical density of B ∩ A at the largest window with
     the product of the declared densities.
@@ -179,6 +176,6 @@ def nonindependence_witness(
     else:
         margin_f = as_fraction(margin)
     n_max = schedule.windows()[-1]
-    joint = intersect(b, a).prefix_count(n_max, workers)
+    joint = intersect(b, a).prefix_count(n_max)
     declared = as_fraction(b_density) * as_fraction(a_density)
     return WitnessReport.of(n_max, joint, declared, margin_f)

@@ -14,8 +14,6 @@ import hashlib
 import json
 from fractions import Fraction
 from math import gcd
-from typing import Optional
-
 from . import __version__
 from .constructors import PackResult
 from .density import DensityEstimate, WindowSchedule
@@ -163,24 +161,18 @@ def pack_json(rep: PackResult) -> dict:
     }
 
 
-def run_report(
-    command: str,
-    doc: dict,
-    body: dict,
-    seeds: Optional[dict] = None,
-    passed: Optional[bool] = None,
-) -> dict:
-    out = {
+def run_report(command: str, doc: dict, body: dict, seeds: dict, passed: bool) -> dict:
+    """The report of one command: tool, spec and seeds, the body's fields,
+    and the verdict."""
+    return {
         "tool": {"name": "densfam", "version": __version__},
         "command": command,
         "spec_digest": spec_digest(doc),
         "spec": doc,
-        "rng": {"algorithm": RNG_ALGORITHM, "seeds": seeds or {}},
+        "rng": {"algorithm": RNG_ALGORITHM, "seeds": seeds},
+        **body,
+        "passed": passed,
     }
-    out.update(body)
-    if passed is not None:
-        out["passed"] = passed
-    return out
 
 
 def render_report(report: dict) -> str:

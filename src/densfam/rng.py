@@ -3,7 +3,7 @@
 Every draw is a pure function of (seed, index): index n maps to lane
 n % 4 of Philox-4x64 counter block n // 4 under key `seed`.  Ranges are
 generated in bulk from the same counter stream, so bulk and pointwise
-evaluation agree exactly and any partition of a range across workers
+evaluation agree exactly and any partition of a range across processes
 reproduces identical values.
 """
 

@@ -15,9 +15,10 @@ values.
 ``window_counts`` counts many sets in one chunk-major sweep, so a leaf
 shared by many expressions is computed once per chunk, and each set
 keeps only the last chunk it computed: memory is flat in the window
-size.  The chunk range may be split into contiguous parts counted in
-forked worker processes and reduced by summation, so results are
-identical for any worker count.
+size.  It is the one way into parallel counting: its ``workers``
+argument splits the chunk range into contiguous parts counted in forked
+worker processes and summed, so results are identical for any worker
+count.  The one-set helpers sweep in the calling process.
 """
 
 from __future__ import annotations
@@ -134,19 +135,21 @@ class SetBase:
     # -- exact counting -----------------------------------------------
 
     def sweep_prefix(self, n: int, workers: int = 1) -> int:
-        """Exact |S ∩ [0, n)| obtained from chunk masks alone (no hints)."""
+        """Exact |S ∩ [0, n)| obtained from chunk masks alone (no hints),
+        swept by window_counts with the given worker count."""
         unhinted = SetBase(self.descriptor, chunk_fn=self.chunk_mask)
         return window_counts([unhinted], (n,), workers)[0][0]
 
-    def prefix_count(self, n: int, workers: int = 1) -> int:
-        """Exact number of members below n; uses the count hint when present."""
-        return window_counts([self], (n,), workers)[0][0]
+    def prefix_count(self, n: int) -> int:
+        """Exact number of members below n: the count hint when present,
+        else a sweep in the calling process."""
+        return window_counts([self], (n,))[0][0]
 
-    def count_range(self, start: int, stop: int, workers: int = 1) -> int:
-        """Exact number of members in [start, stop)."""
+    def count_range(self, start: int, stop: int) -> int:
+        """Exact number of members in [start, stop), counted as prefix_count."""
         if stop <= start:
             return 0
-        below_start, below_stop = window_counts([self], (start, stop), workers)[0]
+        below_start, below_stop = window_counts([self], (start, stop))[0]
         return below_stop - below_start
 
 
@@ -395,8 +398,8 @@ def sym_diff(x: SetBase, y: SetBase) -> SetExpr:
 # -- module-level counting helpers -----------------------------------
 
 
-def prefix_density(s: SetBase, n: int, workers: int = 1) -> Fraction:
+def prefix_density(s: SetBase, n: int) -> Fraction:
     """Exact |S ∩ [0,n)| / n as a Fraction."""
     if n <= 0:
         raise ValueError("density needs a positive prefix length")
-    return Fraction(s.prefix_count(n, workers), n)
+    return Fraction(s.prefix_count(n), n)

@@ -46,7 +46,7 @@ from .constructors import (
     kw_set,
     random_extension,
 )
-from .density import WindowSchedule, as_fraction
+from .density import DEFAULT_SCHEDULE, WindowSchedule, as_fraction
 from .reaping import thin_extension
 from .sets import SetBase, SetExpr, complement, omega, scale
 
@@ -116,14 +116,18 @@ def parse_integer(value, what: str) -> int:
     raise SpecError(f"{what} is not an integer: {value!r}")
 
 
+def _lookup(sets: dict[str, SetBase], ref, name: str) -> SetBase:
+    """The earlier set that entry `name` refers to by the string `ref`."""
+    if not isinstance(ref, str) or ref not in sets:
+        raise SpecError(f"entry {name!r} references unknown set {ref!r}")
+    return sets[ref]
+
+
 def _build_expr(node, sets: dict[str, SetBase], name: str) -> SetBase:
     if not isinstance(node, dict):
         raise SpecError(f"entry {name!r}: expression nodes must be objects")
     if "ref" in node:
-        ref = node["ref"]
-        if ref not in sets:
-            raise SpecError(f"entry {name!r} references unknown set {ref!r}")
-        return sets[ref]
+        return _lookup(sets, node["ref"], name)
     op = node.get("op")
     if op == "omega":
         return omega()
@@ -150,18 +154,11 @@ def _subfamily(
 ) -> Family:
     if not isinstance(names, list) or not names:
         raise SpecError(f"entry {context!r}: 'family' must be a nonempty name list")
+    members = tuple(_lookup(sets, n, context) for n in names)
     for n in names:
-        if n not in sets:
-            raise SpecError(f"entry {context!r} references unknown set {n!r}")
         if n not in densities:
-            raise SpecError(
-                f"entry {context!r}: set {n!r} has no declared density"
-            )
-    return Family(
-        tuple(names),
-        tuple(sets[n] for n in names),
-        tuple(densities[n] for n in names),
-    )
+            raise SpecError(f"entry {context!r}: set {n!r} has no declared density")
+    return Family(tuple(names), members, tuple(densities[n] for n in names))
 
 
 def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
@@ -176,8 +173,6 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
     seeds: dict[str, int] = {}
 
     def define(name: str, s: SetBase, density: Optional[Fraction]) -> None:
-        if not isinstance(name, str) or not name:
-            raise SpecError("every entry needs a nonempty string name")
         if name in sets:
             raise SpecError(f"duplicate set name {name!r}")
         sets[name] = s
@@ -203,10 +198,8 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
             define(name, coded_independent_set(tuple(int(c) for c in sigma), depth), None)
 
         elif kind == "block":
-            ref = _need(entry, "classical", name)
-            if ref not in sets:
-                raise SpecError(f"entry {name!r} references unknown set {ref!r}")
-            define(name, BlockParitySet(sets[ref]), Fraction(1, 2))
+            classical = _lookup(sets, _need(entry, "classical", name), name)
+            define(name, BlockParitySet(classical), Fraction(1, 2))
 
         elif kind == "random-ext":
             sub = _subfamily(_need(entry, "family", name), sets, densities, name)
@@ -244,6 +237,9 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
         if not isinstance(entry, dict):
             raise SpecError("each family entry must be an object")
         name = _need(entry, "name", "<unnamed>")
+        if not isinstance(name, str) or not name:
+            # a gap entry names its members by suffixing its own name
+            raise SpecError(f"entry name must be a nonempty string: {name!r}")
         kind = _need(entry, "kind", name)
         try:
             build_entry(entry, name, kind)
@@ -278,16 +274,15 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
 
 def schedule_from_doc(node) -> WindowSchedule:
     if node is None:
-        return WindowSchedule()
+        return DEFAULT_SCHEDULE
     if not isinstance(node, dict):
         raise SpecError("'schedule' must be an object")
-    start = parse_integer(node.get("start", 10_000), "schedule start")
-    count = parse_integer(node.get("count", 10), "schedule count")
+    start = parse_integer(node.get("start", DEFAULT_SCHEDULE.start), "schedule start")
+    count = parse_integer(node.get("count", DEFAULT_SCHEDULE.count), "schedule count")
     end = node.get("end")
     end = None if end is None else parse_integer(end, "schedule end")
     try:
-        return WindowSchedule(
-            start=start, ratio=as_fraction(node.get("ratio", 2)), count=count, end=end
-        )
-    except (ValueError, ZeroDivisionError) as e:
+        ratio = parse_rational(node.get("ratio", DEFAULT_SCHEDULE.ratio), "ratio")
+        return WindowSchedule(start=start, ratio=ratio, count=count, end=end)
+    except ValueError as e:
         raise SpecError(f"bad schedule: {e}") from None

@@ -31,8 +31,9 @@ tracer = Tracer()
 tracer.install()
 with tempfile.TemporaryDirectory() as tmp:
     spec = tmp + "/spec.json"
-    json.dump({"family": [{"name": "A0", "kind": "kw", "radicand": 2, "threshold": "0.3"}],
-               "schedule": {"start": 2000, "ratio": "2", "count": 3}}, open(spec, "w"))
+    with open(spec, "w") as fh:
+        json.dump({"family": [{"name": "A0", "kind": "kw", "radicand": 2, "threshold": "0.3"}],
+                   "schedule": {"start": 2000, "ratio": "2", "count": 3}}, fh)
     for op, command in enumerate(["construct", "verify"]):
         tracer.begin_op(op)
         assert densfam.cli.main([command, spec, "--out", tmp + "/report.json"]) == 0

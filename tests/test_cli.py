@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -296,7 +297,7 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["verify", spec, "--out", a]) == 0
     assert main(["verify", spec, "--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_reports_are_byte_identical_across_workers(tmp_path):
@@ -304,7 +305,7 @@ def test_reports_are_byte_identical_across_workers(tmp_path):
     a, b = str(tmp_path / "w1.json"), str(tmp_path / "w8.json")
     assert main(["verify", spec, "--workers", "1", "--out", a]) == 0
     assert main(["verify", spec, "--workers", "8", "--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_extend_random_reports_are_byte_identical_across_workers(tmp_path):
@@ -323,7 +324,7 @@ def test_extend_random_reports_are_byte_identical_across_workers(tmp_path):
         assert main(["extend", spec, "--mode", "random", "--name", "X",
                      "--distinguished", "B0", "--seed", "7", "--target", "3/5",
                      "--workers", w, "--out", outs[-1]]) == 0
-    assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+    assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
 
 
 @pytest.mark.parametrize("command", [
@@ -381,11 +382,11 @@ def test_replay_from_embedded_spec(tmp_path):
     spec = write_spec(tmp_path, KW3)
     first = str(tmp_path / "first.json")
     assert main(["construct", spec, "--out", first]) == 0
-    rep = json.loads(open(first).read())
+    rep = json.loads(Path(first).read_text())
     replay_spec = write_spec(tmp_path, rep["spec"], "replay-spec.json")
     second = str(tmp_path / "second.json")
     assert main(["construct", replay_spec, "--out", second]) == 0
-    assert open(first, "rb").read() == open(second, "rb").read()
+    assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 def test_seed_recorded_in_report(tmp_path, capsys):
@@ -700,6 +701,31 @@ def _expr(expr):
 def test_bad_expr_entry_is_parse_error_naming_it(tmp_path, capsys, doc, message):
     assert main(["construct", write_spec(tmp_path, doc)] + FAST) == 2
     assert capsys.readouterr().err == f"error: entry 'E': {message}\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"family": [_kw()], "schedule": {"ratio": None}},
+     "bad schedule: ratio is not a rational: None"),
+    ({"family": [_kw()], "schedule": {"ratio": {}}},
+     "bad schedule: ratio is not a rational: {}"),
+    ({"family": [_kw(), {"name": "C0", "kind": "coded", "sigma": "00"},
+                 {"name": "B0", "kind": "block", "classical": ["C0"]}]},
+     "entry 'B0' references unknown set ['C0']"),
+    (_expr({"ref": ["A0"]}), "entry 'E' references unknown set ['A0']"),
+    ({"family": [_kw(), {"name": "T", "kind": "thin-ext", "family": [["A0"]]}]},
+     "entry 'T' references unknown set ['A0']"),
+    ({"family": [_kw(), {"name": "R", "kind": "random-ext", "family": [{"x": 1}],
+                         "distinguished": "A0", "target": "0.5", "seed": 1}]},
+     "entry 'R' references unknown set {'x': 1}"),
+    ({"family": [{"name": "", "kind": "gap", "target": "0.9", "size": 2}]},
+     "entry name must be a nonempty string: ''"),
+    ({"family": [{"name": 5, "kind": "gap", "target": "0.9", "size": 2}]},
+     "entry name must be a nonempty string: 5"),
+], ids=["ratio-null", "ratio-object", "classical-list", "ref-list", "thin-ext-family-list",
+        "random-ext-family-object", "gap-name-empty", "gap-name-int"])
+def test_wrong_typed_spec_value_is_parse_error_naming_it(tmp_path, capsys, doc, message):
+    assert main(["construct", write_spec(tmp_path, doc), "--prefix", "1000"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["negative", "2**128"])
