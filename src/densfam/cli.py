@@ -103,6 +103,11 @@ def _unit_flag(text: str, flag: str) -> Fraction:
     return x
 
 
+def _names_flag(text: str) -> list[str]:
+    """A comma-separated list of names, each stripped, empty ones dropped."""
+    return [n.strip() for n in text.split(",") if n.strip()]
+
+
 def _named_set(spec: LoadedSpec, name: str) -> SetBase:
     if name not in spec.sets:
         raise ValueError(f"unknown set {name!r}")
@@ -280,7 +285,7 @@ def cmd_reap(args) -> int:
 
     targets: list[tuple[str, SetBase]] = []
     if args.intersections:
-        names = [n.strip() for n in args.intersections.split(",") if n.strip()]
+        names = _names_flag(args.intersections)
         members = [_named_set(spec, n) for n in names]
         for mask in range(1, 1 << len(names)):
             picked = [i for i in range(len(names)) if (mask >> i) & 1]
@@ -313,7 +318,7 @@ def cmd_extend(args) -> int:
     family = spec.require_family()
     sched = _resolve_schedule(spec, args)
     tol = _resolve_tol(spec, args)
-    base = family.subfamily(args.family.split(",")) if args.family else family
+    base = family.subfamily(_names_flag(args.family)) if args.family else family
 
     if args.mode == "thin":
         new_set = thin_extension(base)
@@ -380,7 +385,7 @@ def cmd_extend(args) -> int:
 def cmd_pack(args) -> int:
     spec = _load(args)
     family = spec.require_family()
-    base = family.subfamily(args.members.split(",")) if args.members else family
+    base = family.subfamily(_names_flag(args.members)) if args.members else family
     result = greedy_atom_pack(base, args.side, _unit_flag(args.target, "--target"))
 
     passed = result.certificate_ok()

@@ -23,9 +23,9 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from math import factorial
-from typing import Callable, Optional, Sequence, Union
+from itertools import islice, product
+from math import factorial, inf
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -250,41 +250,31 @@ def coded_independent_set(
 # -- factorial-block parity transform ----------------------------------
 
 
-# start index of block m; block m has 2**m * (m+1)! indices.  A caller's
-# threads may grow it at once, so it is only ever replaced by a whole tuple.
-_block_starts: tuple[int, ...] = (0,)
+def _blocks(lo: int, hi: float) -> Iterator[tuple[int, int, int]]:
+    """(m, start, end) of each factorial block that meets [lo, hi).
 
-
-def _block_len(m: int) -> int:
-    return (1 << m) * factorial(m + 1)
-
-
-def _starts_through(m: int) -> tuple[int, ...]:
-    """Block starts with at least m + 2 entries."""
-    global _block_starts
-    starts = _block_starts
-    if len(starts) < m + 2:
-        grown = list(starts)
-        while len(grown) < m + 2:
-            grown.append(grown[-1] + _block_len(len(grown) - 1))
-        starts = _block_starts = tuple(grown)
-    return starts
+    Block 0 starts at index 0, block m has 2**m * (m+1)! indices, and
+    each block starts where the one before it ends.  hi may be math.inf.
+    """
+    m = start = 0
+    while start < hi:
+        end = start + (1 << m) * factorial(m + 1)
+        if end > lo:
+            yield m, start, end
+        m, start = m + 1, end
 
 
 def block_bounds(m: int) -> tuple[int, int]:
     """[start, end) index range of factorial block m."""
-    starts = _starts_through(m)
-    return starts[m], starts[m + 1]
+    _, start, end = next(islice(_blocks(0, inf), m, None))
+    return start, end
 
 
 def block_of(n: int) -> int:
     """The block index m with n inside block m."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    starts = _block_starts
-    while starts[-1] <= n:
-        starts = _starts_through(len(starts) - 1)
-    return bisect.bisect_right(starts, n) - 1
+    return next(_blocks(n, n + 1))[0]
 
 
 class BlockParitySet(SetBase):
@@ -308,7 +298,7 @@ class BlockParitySet(SetBase):
 
     def classical_mask(self, m: int) -> int:
         """Bitmask of the classical set's membership on [0, m); m stays
-        below about 30, since block m already has 2**m * (m+1)! indices."""
+        small, since only blocks 0-12 start below index 2**40."""
         return sum(1 << n for n in range(m) if self._classical.member(n))
 
     def _period(self, m: int) -> int:
@@ -328,27 +318,18 @@ class BlockParitySet(SetBase):
 
     def _count(self, n: int) -> int:
         total = 0
-        m = 0
-        while True:
-            start, end = block_bounds(m)
-            if start >= n:
-                return total
-            y = min(n, end) - start
+        for m, start, end in _blocks(0, n):
             p = self._period(m)
-            cycles, rem = divmod(y, 1 << m)
-            total += cycles * p.bit_count()
-            if rem:
-                total += (p & ((1 << rem) - 1)).bit_count()
-            m += 1
+            cycles, rem = divmod(min(n, end) - start, 1 << m)
+            total += cycles * p.bit_count() + (p & ((1 << rem) - 1)).bit_count()
+        return total
 
     def _compute_chunk(self, ci: int) -> int:
         a = ci * CHUNK_BITS
         b = a + CHUNK_BITS
         out = 0
-        pos = a
-        while pos < b:
-            m = block_of(pos)
-            start, end = block_bounds(m)
+        for m, start, end in _blocks(a, b):
+            pos = max(a, start)
             length = min(b, end) - pos
             period = 1 << m
             p = self._period(m)
@@ -360,7 +341,6 @@ class BlockParitySet(SetBase):
                 p |= p << width
                 width <<= 1
             out |= (p & ((1 << length) - 1)) << (pos - a)
-            pos += length
         return out
 
 

@@ -246,8 +246,9 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
         except SpecError:
             raise
         except (ValueError, KeyError) as e:
-            # a constructor's own check, named by the entry it failed on
-            raise SpecError(f"entry {name!r}: {e}") from None
+            # a constructor's own check, named by the entry it failed on;
+            # str() of a KeyError would quote its message
+            raise SpecError(f"entry {name!r}: {e.args[0] if e.args else e}") from None
 
     family = None
     if family_names:

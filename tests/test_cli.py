@@ -289,6 +289,19 @@ def test_pack_members_subset(tmp_path, capsys):
     assert all(len(p) == 2 and p[0] == 0 for p in rep["patterns"])
 
 
+@pytest.mark.parametrize("command", [
+    ["extend", "--mode", "thin", "--name", "T", *FAST, "--family"],
+    ["pack", "--side", "0", "--target", "0.5", "--members"],
+], ids=["extend-thin", "pack"])
+def test_spaced_member_list_gives_the_same_report(tmp_path, command):
+    spec = write_spec(tmp_path, KW3)
+    outs = []
+    for names in ("A0,A1", "A0, A1"):
+        outs.append(tmp_path / f"r{len(outs)}.json")
+        assert main([command[0], spec, *command[1:], names, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 # -- determinism ------------------------------------------------------------------
 
 
@@ -717,12 +730,16 @@ def test_bad_expr_entry_is_parse_error_naming_it(tmp_path, capsys, doc, message)
     ({"family": [_kw(), {"name": "R", "kind": "random-ext", "family": [{"x": 1}],
                          "distinguished": "A0", "target": "0.5", "seed": 1}]},
      "entry 'R' references unknown set {'x': 1}"),
+    ({"family": [_kw(), {"name": "R", "kind": "random-ext", "family": ["A0"],
+                         "distinguished": "Z", "target": "0.5", "seed": 1}]},
+     "entry 'R': no family member named 'Z'"),
     ({"family": [{"name": "", "kind": "gap", "target": "0.9", "size": 2}]},
      "entry name must be a nonempty string: ''"),
     ({"family": [{"name": 5, "kind": "gap", "target": "0.9", "size": 2}]},
      "entry name must be a nonempty string: 5"),
 ], ids=["ratio-null", "ratio-object", "classical-list", "ref-list", "thin-ext-family-list",
-        "random-ext-family-object", "gap-name-empty", "gap-name-int"])
+        "random-ext-family-object", "random-ext-distinguished-unknown", "gap-name-empty",
+        "gap-name-int"])
 def test_wrong_typed_spec_value_is_parse_error_naming_it(tmp_path, capsys, doc, message):
     assert main(["construct", write_spec(tmp_path, doc), "--prefix", "1000"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-import densfam.constructors as constructors
 import densfam.fixedpoint as fx
 import densfam.rng as rng
 from densfam import (
@@ -246,13 +245,15 @@ def test_coded_indices_beyond_last_block_excluded():
 
 
 def test_factorial_block_layout():
-    starts = oracles.factorial_block_starts(10)
-    for m in range(9):
+    starts = oracles.factorial_block_starts(40)
+    for m in range(39):
         assert block_bounds(m) == (starts[m], starts[m + 1])
-    assert block_of(0) == 0
-    assert block_of(220) == 3
-    assert block_of(221) == 4
-    assert block_of(25181) == 6
+    for m in range(40):
+        assert block_of(starts[m]) == m
+        if m:
+            assert block_of(starts[m] - 1) == m - 1
+    with pytest.raises(ValueError):
+        block_of(-1)
 
 
 # frozen from oracles.block_parity_count_enum
@@ -283,6 +284,30 @@ def test_block_parity_member_matches_live_oracle():
     starts = oracles.factorial_block_starts(12)
     for n in range(0, 2141, 13):
         assert bp.member(n) == oracles.block_parity_member_enum(members, n, starts)
+
+
+# chunk 5 holds the start of block 7 (347,741) and chunk 84 that of block 8
+# (5,508,701); each chunk opens inside the block before, at a nonzero phase
+WALK_CHUNKS = {5: 7, 84: 8}
+
+
+@pytest.mark.parametrize("ci, m", sorted(WALK_CHUNKS.items()))
+def test_block_parity_chunk_across_a_block_start_matches_oracle(ci, m):
+    members = {0, 3, 4, 9, 11}
+    starts = oracles.factorial_block_starts(10)
+    a = ci * CHUNK_BITS
+    assert a < starts[m] < a + CHUNK_BITS
+    expect = sum(1 << i for i in range(CHUNK_BITS)
+                 if oracles.block_parity_member_enum(members, a + i, starts))
+    assert BlockParitySet(from_elements(members)).chunk_mask(ci) == expect
+
+
+@pytest.mark.parametrize("m", sorted(WALK_CHUNKS.values()))
+def test_block_parity_hint_matches_sweep_at_a_block_start(m):
+    start = oracles.factorial_block_starts(10)[m]
+    bp = BlockParitySet(from_elements([0, 3, 4, 9, 11]))
+    for n in (start - 1, start, start + 1):
+        assert bp.count_hint(n) == bp.sweep_prefix(n)
 
 
 def test_f2_rank_examples():
@@ -353,16 +378,6 @@ def test_thin_set_shared_across_threads_stays_exact():
     for _ in range(5):
         t = thin(SetBase({"kind": "probe"}, chunk_fn=lambda ci: 0b111))
         assert race(lambda: t.sweep_prefix(64 * CHUNK_BITS)) == [96] * 4
-
-
-def test_block_bounds_are_thread_safe(monkeypatch):
-    starts = oracles.factorial_block_starts(40)
-    expect = [(starts[m], starts[m + 1]) for m in range(39)]
-    for _ in range(20):
-        monkeypatch.setattr(constructors, "_block_starts", constructors._block_starts[:1])
-        got = race(lambda: [block_bounds(m) for m in range(39)])
-        assert got == [expect] * 4
-        assert block_of(starts[39] - 1) == 38
 
 
 # -- biased-coin extension parameters -------------------------------------------
