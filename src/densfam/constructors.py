@@ -111,7 +111,7 @@ def _default_names(k: int, prefix: str = "A") -> tuple[str, ...]:
 class KWSet(SetBase):
     """{n : frac(n * sqrt(radicand)) < p} with exact fixed-point orbits.
 
-    The set is defined by its chunks, from the numpy limb kernel: an
+    The set is defined by its chunks, from the numpy high-limb kernel: an
     index is a member when its 96-bit orbit value lies below the
     threshold plus a 2**-40 guard band.  Indices inside the band are
     resolved as members and surface in the band diagnostic, never

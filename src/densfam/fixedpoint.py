@@ -8,12 +8,17 @@ isqrt(r << 192), and the orbit value (n * step) mod 2**96 is exact.
 Two kernels read the orbit without visiting indices one by one in
 Python:
 
-* ``orbit_chunk_mask`` evaluates blocks of indices with numpy.  The
-  96-bit orbit value is split into a 32-bit low limb and a 64-bit high
-  limb that wraps mod 2**64, which is exactly reduction mod 2**96; with
-  block offsets below 2**13 the low-limb products stay below 2**46, so
-  the carry between the limbs is exact and every bit agrees with
-  ``orbit_value``.  Only np.uint64 operands enter the arithmetic.
+* ``orbit_chunk_mask`` evaluates blocks of B = 2**14 indices with
+  numpy, on the 64-bit high limb (bits 32-95) of the orbit value alone,
+  which wraps mod 2**64 as the value wraps mod 2**96.  Over a block the
+  low limbs add a carry below B to the high limb, so an index is
+  decided by its carry-free high limb h unless h lies on one of two
+  arcs of B values: up to the threshold's high limb (the tie included),
+  or just below 2**64 (where the carry wraps).  A block that meets
+  neither arc, found by binary search in a sorted per-step table, is
+  one add and one compare; each index on an arc is decided by the exact
+  ``orbit_value`` comparison, so every bit agrees with ``orbit_value``.
+  Only np.uint64 operands enter the arithmetic.
 * ``orbit_count`` counts {i < n : orbit value < t} in closed form.  The
   orbit is a rational rotation with modulus 2**96, so the count is a
   difference of two ``floor_sum`` values (the Euclid-style sum of
@@ -31,6 +36,7 @@ bounds with a ValueError instead of returning unguarded counts.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -153,38 +159,64 @@ def orbit_count(step: int, t: int, n: int) -> int:
     return n - (floor_sum(n, MOD, step, MOD - t) - floor_sum(n, MOD, step, 0))
 
 
-_LIMB_BITS = 32
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
-_BLOCK = 8192  # indices per numpy pass; a multiple of 8 keeps packed bytes aligned
+_BLOCK = 1 << 14  # B: indices per numpy pass, and the bound on the low limbs' carry
+_TOP = 1 << 64
+
+
+# Building a table costs about as much as one chunk, and a family has a
+# few radicands; the bound keeps arbitrary steps from piling up tables.
+@lru_cache(maxsize=8)
+def _step_table(s_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """T[i] = i * s_hi mod 2**64 for i < B, and a sorted copy of T."""
+    table = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(s_hi)
+    return table, np.sort(table)
 
 
 def orbit_chunk_mask(step: int, thr_eff: int, start: int, length: int) -> int:
     """Membership bitmask of {n : orbit value < thr_eff} on [start, start+length).
 
-    Each block of indices start+o+i, i < _BLOCK, splits the orbit value
-    x + i*step (mod 2**96) into a 32-bit low limb and a 64-bit high limb
-    that wraps mod 2**64.  i*lo(step) + lo(x) < 2**46 fits in uint64, so
-    the carry into the high limb is exact and the result agrees bit for
-    bit with orbit_value at every index.
+    A block of indices start+o+i, i < B, starts at orbit value x.  The
+    high limb (bits 32-95) of x + i*step is h_i + c_i mod 2**64, where
+    h_i = hi(x) + T[i] mod 2**64 with T[i] = i*hi(step), and c_i < B is
+    the carry out of the low limbs, since lo(x) + i*lo(step) < B * 2**32.
+    With t = hi(thr_eff):
+
+    * h_i < t - B + 1: the high limb is below t, a member;
+    * t < h_i <= 2**64 - B: the high limb exceeds t, not a member;
+    * h_i in [t - B + 1, t] (the tie arc) or in (2**64 - B, 2**64) (the
+      wrap arc): undecided by h_i alone.
+
+    Each arc, shifted by -hi(x), is located in the sorted copy of T by
+    binary search, so a block that meets neither is one add and one
+    compare.  In a block that meets one, each index on an arc is decided
+    by the exact orbit_value comparison.  Every bit agrees with
+    orbit_value.
     """
-    lo_mask = np.uint64(_LIMB_MASK)
-    shift = np.uint64(_LIMB_BITS)
-    s_lo = np.uint64(step & _LIMB_MASK)
-    s_hi = np.uint64(step >> _LIMB_BITS)
-    t_lo = np.uint64(thr_eff & _LIMB_MASK)
-    t_hi = np.uint64(thr_eff >> _LIMB_BITS)
-    out = np.empty((length + 7) // 8, dtype=np.uint8)
-    idx = np.arange(min(length, _BLOCK), dtype=np.uint64)
+    table, sorted_table = _step_table(step >> 32)
+    t_hi = thr_eff >> 32
+    sure = np.uint64(max(t_hi - _BLOCK + 1, 0))
+    tie_lo = (t_hi - _BLOCK + 1) % _TOP
+    wrap_lo = _TOP - _BLOCK + 1
+    hit = np.empty(length, dtype=bool)
+    h = np.empty(min(length, _BLOCK), dtype=np.uint64)
     for o in range(0, length, _BLOCK):
-        i = idx[: min(_BLOCK, length - o)]
-        x = ((start + o) * step) & MASK
-        low = i * s_lo + np.uint64(x & _LIMB_MASK)
-        high = i * s_hi + np.uint64(x >> _LIMB_BITS) + (low >> shift)
-        low &= lo_mask
-        hit = (high < t_hi) | ((high == t_hi) & (low < t_lo))
-        packed = np.packbits(hit, bitorder="little")
-        out[o // 8 : o // 8 + len(packed)] = packed
-    return int.from_bytes(out.tobytes(), "little")
+        n = min(_BLOCK, length - o)
+        x_hi = orbit_value(step, start + o) >> 32
+        hb = h[:n]
+        np.add(table[:n], np.uint64(x_hi), out=hb)
+        np.less(hb, sure, out=hit[o : o + n])
+        # T entries on the arc [a, a + w) mod 2**64 number p(a + w) - p(a),
+        # plus B if the arc wraps, where p is the sorted insertion point
+        tie = (tie_lo - x_hi) % _TOP
+        wrap = (wrap_lo - x_hi) % _TOP
+        ends = (tie, (tie + _BLOCK) % _TOP, wrap, (wrap + _BLOCK - 1) % _TOP)
+        p = np.searchsorted(sorted_table, np.array(ends, dtype=np.uint64)).tolist()
+        if (p[1] - p[0] + _BLOCK * (tie + _BLOCK >= _TOP)
+                or p[3] - p[2] + _BLOCK * (wrap + _BLOCK - 1 >= _TOP)):
+            on_arc = (hb - np.uint64(tie_lo) < np.uint64(_BLOCK)) | (hb >= np.uint64(wrap_lo))
+            for i in np.flatnonzero(on_arc).tolist():
+                hit[o + i] = orbit_value(step, start + o + i) < thr_eff
+    return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
 
 
 def orbit_band_count(step: int, thr: int, start: int, length: int) -> int:

@@ -89,7 +89,7 @@ class SetBase:
         No count calls this, and no command queries a kernel-backed set
         point by point.  A query computes its whole chunk unless it is
         the last one the set computed, so an isolated query costs
-        a chunk (about 0.3 ms for a rotation set), and every query
+        a chunk (about 0.1 ms for a rotation set), and every query
         shifts an 8 KiB integer.
         """
         if n < 0:

@@ -138,6 +138,41 @@ def _family_is_randomized(family: Family, names: Sequence[str]) -> bool:
     )
 
 
+# members whose count hint is a closed form, computed without any chunk
+_CLOSED_FORM_KINDS = ("kw", "block")
+
+
+def _check_count_identities(
+    family: Family,
+    chosen: tuple[str, ...],
+    patterns: Sequence[tuple[int, ...]],
+    windows: Sequence[int],
+    atom_counts: Sequence[tuple[int, ...]],
+) -> None:
+    """Raise ValueError unless the swept atom counts add up exactly: to
+    each window, and, over the atoms with a member's bit set, to that
+    member's closed-form count.  The atoms come from chunk kernels, so a
+    wrong chunk bit shows up here on any window it falls below."""
+    for j, n in enumerate(windows):
+        total = sum(counts[j] for counts in atom_counts)
+        if total != n:
+            raise ValueError(
+                f"count identity failed at window {n}: the atoms hold {total} indices, not {n}"
+            )
+    for i, name in enumerate(chosen):
+        s = family.set_of(name)
+        if s.descriptor.get("kind") not in _CLOSED_FORM_KINDS:
+            continue
+        for j, n in enumerate(windows):
+            swept = sum(c[j] for bits, c in zip(patterns, atom_counts) if bits[i])
+            closed = s.count_hint(n)
+            if swept != closed:
+                raise ValueError(
+                    f"count identity failed for member {name} at window {n}: "
+                    f"its atoms count {swept}, its closed form {closed}"
+                )
+
+
 def verify_independence(
     family: Family,
     names: Optional[Sequence[str]] = None,
@@ -150,7 +185,8 @@ def verify_independence(
     An atom passes when |empirical - expected| <= tol at the largest
     window and its own last-three-window spread is at most tol.  The
     default tolerance widens to 4/sqrt(N_max) when a randomized member
-    is involved.
+    is involved.  Counts that break an exact identity (see
+    _check_count_identities) raise ValueError instead of a report.
     """
     chosen = _resolve_names(family, names, MAX_VERIFY_MEMBERS)
     windows = schedule.windows()
@@ -161,9 +197,11 @@ def verify_independence(
 
     patterns = list(product((0, 1), repeat=len(chosen)))
     atoms = [atom(family, bits, chosen) for bits in patterns]
+    atom_counts = window_counts(atoms, windows, workers)
+    _check_count_identities(family, chosen, patterns, windows, atom_counts)
     reports = []
     all_pass = True
-    for bits, counts in zip(patterns, window_counts(atoms, windows, workers)):
+    for bits, counts in zip(patterns, atom_counts):
         expected = expected_atom_density(family, bits, chosen)
         densities = tuple(Fraction(c, n) for c, n in zip(counts, windows))
         dev, osc, ok = tail_check(densities, expected, tol_f)

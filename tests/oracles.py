@@ -258,7 +258,7 @@ def block_parity_count_enum(classical_members: set, n: int, blocks: int = 12) ->
 
 
 # -- rotation orbits by exact modular walking -------------------------------
-# The reference the package's numpy limb kernel and floor-sum counts are
+# The reference the package's numpy high-limb kernel and floor-sum counts are
 # checked against bit for bit: one Python integer per index, advanced by
 # exact modular addition of the 96-bit step.
 

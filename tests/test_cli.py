@@ -381,6 +381,26 @@ def test_each_rotation_chunk_is_computed_once_per_op(tmp_path, monkeypatch, comm
     assert len(calls) == 3 * k
 
 
+@pytest.mark.parametrize("command", [["verify"], ["extend", "--mode", "thin", "--name", "T"]],
+                         ids=["verify", "extend-thin"])
+def test_one_bit_kernel_error_breaks_a_count_identity(tmp_path, capsys, monkeypatch, command):
+    # a rotation kernel that gets one bit of every chunk wrong still gives
+    # densities within tolerance; the member's closed form must catch it
+    orig = fixedpoint.orbit_chunk_mask
+
+    def flipped(*args):
+        return orig(*args) ^ (1 << 12_345)
+
+    monkeypatch.setattr(fixedpoint, "orbit_chunk_mask", flipped)
+    code = main([command[0], write_spec(tmp_path, KW3), *command[1:],
+                 "--schedule", "20000,2,3", "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert "count identity failed for member A0 at window 20000" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_random_extension_draws_each_chunk_once(tmp_path, monkeypatch):
     # the new member and its joint with the distinguished one share a sweep
     calls = _count_calls(monkeypatch, constructors, "u64_range")

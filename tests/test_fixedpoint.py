@@ -1,5 +1,5 @@
 """Rotation kernels against the exact orbit walk in oracles.py: the numpy
-limb chunk kernel bit for bit, floor-sum counts and band counts exactly,
+high-limb chunk kernel bit for bit, floor-sum counts and band counts exactly,
 and the enforced 2**40 validity domain."""
 
 from fractions import Fraction
@@ -26,8 +26,12 @@ chunk_indices = st.one_of(st.integers(0, 1 << 24), st.sampled_from([0, 1, 1 << 2
 lengths = st.one_of(
     st.integers(1, CHUNK_BITS),
     # block edges of the kernel and lengths that are not byte multiples
-    st.sampled_from([1, 7, 8, 9, 8191, 8192, 8193, 40000, CHUNK_BITS - 1, CHUNK_BITS]),
+    st.sampled_from([1, 7, 8, 9, 8191, 8192, 8193, fx._BLOCK - 1, fx._BLOCK, fx._BLOCK + 1,
+                     40000, CHUNK_BITS - 1, CHUNK_BITS]),
 )
+# any step, not only the square roots: the kernel's edges need orbit
+# values and thresholds placed by hand
+steps = st.one_of(radicands.map(fx.frac_step), st.integers(1, fx.MOD - 1))
 
 
 # -- floor sums -----------------------------------------------------------
@@ -58,11 +62,13 @@ def test_chunk_kernel_matches_orbit_walk(r, thr_eff, ci, offset, length):
 
 
 @given(radicands, chunk_indices, lengths, st.integers(0, CHUNK_BITS - 1),
-       st.one_of(st.integers(-(1 << 34), 1 << 34), st.sampled_from([-1, 0, 1])))
+       st.one_of(st.integers(-(1 << 34), 1 << 34), st.integers(-(1 << 47), 1 << 47),
+                 st.sampled_from([-1, 0, 1])))
 @settings(max_examples=80, deadline=None)
 def test_chunk_kernel_matches_walk_at_threshold_on_the_orbit(r, ci, length, k, delta):
-    # a random threshold almost never lies within a limb carry of an
-    # orbit value; put it next to one so that a wrong carry flips a bit
+    # a random threshold almost never lies within a carry (below 2**46)
+    # of an orbit value; put it near one, inside and outside that reach,
+    # so that a wrongly decided index flips a bit
     step = fx.frac_step(r)
     start = ci * CHUNK_BITS
     thr_eff = (fx.orbit_value(step, start + k % length) + delta) % fx.MOD
@@ -71,11 +77,50 @@ def test_chunk_kernel_matches_walk_at_threshold_on_the_orbit(r, ci, length, k, d
 
 
 @pytest.mark.parametrize("ci", [0, 7, (1 << 24) - 1, 1 << 24])
-@pytest.mark.parametrize("length", [1, 8191, 8193, CHUNK_BITS])
+@pytest.mark.parametrize("length", [1, 8191, 8193, fx._BLOCK - 1, fx._BLOCK + 1, CHUNK_BITS])
 def test_chunk_kernel_block_edges(ci, length):
     step = fx.frac_step(3)
     thr_eff = fx.threshold_fixed(Fraction(2, 7)) + fx.GUARD
     start = ci * CHUNK_BITS
+    assert (fx.orbit_chunk_mask(step, thr_eff, start, length)
+            == oracles.orbit_walk_mask(step, thr_eff, start, length))
+
+
+def _carry_free_high(step, start, j):
+    """The kernel's high limb of index j of a range from start, before the
+    low limbs' carry: hi(x) + i*hi(step) mod 2**64, where x is the orbit
+    value at the start of j's block and i is j's offset in it."""
+    o = (j - start) // fx._BLOCK * fx._BLOCK
+    return ((fx.orbit_value(step, start + o) >> 32) + (j - start - o) * (step >> 32)) % (1 << 64)
+
+
+@given(steps, st.integers(0, fx.INDEX_LIMIT), lengths, st.integers(0, CHUNK_BITS - 1),
+       st.booleans(), st.sampled_from([-1, 0, 1, fx._BLOCK - 2, fx._BLOCK - 1, fx._BLOCK]),
+       st.integers(0, (1 << 32) - 1))
+@settings(max_examples=120, deadline=None)
+def test_chunk_kernel_at_the_ends_of_the_tie_arc(step, start, length, k, carry_free, e, t_lo):
+    # the threshold's high limb t sits next to an index's high limb: the
+    # true one (the tie), or the carry-free one h at either end of the
+    # arc [t - B + 1, t] that the kernel must decide exactly
+    j = start + k % length
+    h = _carry_free_high(step, start, j) if carry_free else fx.orbit_value(step, j) >> 32
+    thr_eff = ((h + e) % (1 << 64)) << 32 | t_lo
+    assert (fx.orbit_chunk_mask(step, thr_eff, start, length)
+            == oracles.orbit_walk_mask(step, thr_eff, start, length))
+
+
+@given(st.integers(0, fx.INDEX_LIMIT // 2), lengths, st.integers(0, CHUNK_BITS - 1),
+       st.one_of(st.integers(0, 1 << 40), st.integers(0, 1 << 47),
+                 st.integers(fx.MOD - (1 << 47), fx.MOD - 1)),
+       thresholds)
+@settings(max_examples=120, deadline=None)
+def test_chunk_kernel_at_an_orbit_value_next_to_the_wrap(m, length, k, value, thr_eff):
+    # a step chosen so that the odd index j has orbit value `value`, just
+    # past 0 or just below 2**96: past 0, the carry wraps the high limb
+    j = 2 * m + 1
+    start = j - min(k % length, j)
+    step = value * pow(j, -1, fx.MOD) % fx.MOD
+    assert fx.orbit_value(step, j) == value
     assert (fx.orbit_chunk_mask(step, thr_eff, start, length)
             == oracles.orbit_walk_mask(step, thr_eff, start, length))
 

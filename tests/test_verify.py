@@ -14,6 +14,8 @@ from densfam import (
     SignPattern,
     WindowSchedule,
     atom,
+    block_transform,
+    coded_independent_set,
     complement,
     expected_atom_density,
     field_elements,
@@ -27,6 +29,7 @@ from densfam import (
     thin_extension,
     verify_independence,
 )
+from densfam.constructors import BlockParitySet
 from densfam.verify import MAX_FIELD_MEMBERS, MAX_VERIFY_MEMBERS
 
 
@@ -144,6 +147,34 @@ def test_verify_workers_identical(kw_pair, small_schedule):
     r1 = verify_independence(kw_pair, schedule=small_schedule, workers=1)
     r2 = verify_independence(kw_pair, schedule=small_schedule, workers=4)
     assert [a.counts for a in r1.atoms] == [a.counts for a in r2.atoms]
+
+
+def test_verify_raises_when_atoms_miss_an_index(kw_pair, small_schedule, monkeypatch):
+    import densfam.verify as verify_mod
+
+    swept = verify_mod.window_counts
+
+    def one_short(sets, windows, workers=1):
+        first, *rest = swept(sets, windows, workers)
+        return [tuple(c - 1 for c in first), *rest]
+
+    monkeypatch.setattr(verify_mod, "window_counts", one_short)
+    with pytest.raises(ValueError, match="at window 2000: the atoms hold 1999 indices, not 2000"):
+        verify_independence(kw_pair, schedule=small_schedule)
+
+
+def test_verify_raises_when_a_block_chunk_breaks_its_closed_form(monkeypatch):
+    # the block kernel gets index 100 wrong in every chunk; the member's
+    # period count must disagree with its atoms at the first window
+    classical = [coded_independent_set(s, 4) for s in ("00", "01")]
+    fam = block_transform(classical)
+    kernel = BlockParitySet._compute_chunk
+    monkeypatch.setattr(BlockParitySet, "_compute_chunk",
+                        lambda self, ci: kernel(self, ci) ^ (1 << 100))
+    sched = WindowSchedule(start=2000, ratio=Fraction(2), count=3)
+    with pytest.raises(ValueError, match=r"member B0 at window 2000: its atoms count \d+, "
+                                         r"its closed form \d+"):
+        verify_independence(fam, schedule=sched)
 
 
 def _verify_peak(with_thin: bool, n: int) -> int:
