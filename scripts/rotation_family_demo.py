@@ -13,7 +13,6 @@ from fractions import Fraction
 from densfam import (
     WindowSchedule,
     as_fraction,
-    atom,
     bisect_check,
     estimate_density,
     intersect,

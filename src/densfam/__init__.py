@@ -64,8 +64,7 @@ from .verify import (
     ScanReport,
     SignPattern,
     VerificationReport,
-    atom,
-    expected_atom_density,
+    atoms,
     field_elements,
     field_image,
     field_values,

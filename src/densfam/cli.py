@@ -66,7 +66,7 @@ from .specfile import (
     parse_tolerance,
     read_spec_file,
 )
-from .verify import BandDiagnostic, field_values, verify_independence
+from .verify import MAX_VERIFY_MEMBERS, BandDiagnostic, field_values, verify_independence
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -286,6 +286,11 @@ def cmd_reap(args) -> int:
     targets: list[tuple[str, SetBase]] = []
     if args.intersections:
         names = _names_flag(args.intersections)
+        if len(names) > MAX_VERIFY_MEMBERS:
+            # 2**k - 1 targets: bound them as verify bounds its 2**k atoms
+            raise SpecError(
+                f"--intersections takes at most {MAX_VERIFY_MEMBERS} names, got {len(names)}"
+            )
         members = [_named_set(spec, n) for n in names]
         for mask in range(1, 1 << len(names)):
             picked = [i for i in range(len(names)) if (mask >> i) & 1]

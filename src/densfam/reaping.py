@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence, Union
 
 from .constructors import Family
@@ -26,7 +25,7 @@ from .density import (
     tail_check,
 )
 from .sets import SetBase, intersect, thin, union, window_counts
-from .verify import atom
+from .verify import atoms
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,9 @@ def bisect_check(
 
 
 def thin_extension(family: Family) -> SetBase:
-    """Union of the thinned sign-pattern intersections of the family.
+    """Union of the thinned sign-pattern intersections of the family,
+    taken from atoms(): at most MAX_VERIFY_MEMBERS members, and one fewer
+    to verify the enlarged family.
 
     Every sign pattern keeps exactly the even-rank members of its
     intersection, so within each intersection the new set holds
@@ -123,8 +124,7 @@ def thin_extension(family: Family) -> SetBase:
     come from actual membership masks, which keeps count cross-checks
     meaningful.
     """
-    patterns = product((0, 1), repeat=len(family.names))
-    thins = [thin(atom(family, bits)) for bits in patterns]
+    thins = [thin(a) for a in atoms(family.sets)]
     descriptor = {"kind": "thin-ext", "family": list(family.names)}
     return SetBase(descriptor, chunk_fn=union(*thins).chunk_mask)
 

@@ -75,9 +75,9 @@ class SetBase:
         self._chunk_fn = chunk_fn
         self._membership = membership
         self._count_hint = count_hint
-        # (ci, mask) of the last chunk computed.  Like thin's (next ci, count
-        # below), it is a pure function of its chunk index and is replaced in
-        # one step, so a set that a caller shares across threads stays exact.
+        # (ci, mask) of the last chunk computed.  Each window_counts worker
+        # is a forked process with its own copy of the set, so this slot,
+        # like thin's rank, is only ever read and replaced by one sweep.
         self._chunk: tuple[int, int] = (-1, 0)
 
     # -- membership ---------------------------------------------------
@@ -358,7 +358,7 @@ def thin(s: SetBase) -> SetBase:
     free; any other chunk, such as the one a lone membership query
     reads, takes it from S's prefix count.
     """
-    rank = (0, 0)  # (next chunk index, S's count below it); see SetBase._chunk
+    rank = (0, 0)  # (next chunk index, S's count below it), one per process
 
     def hint(n: int) -> int:
         c = s.prefix_count(n)

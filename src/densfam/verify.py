@@ -27,9 +27,9 @@ from .density import (
     default_tolerance,
     tail_check,
 )
-from .sets import SetExpr, complement, intersect, window_counts
+from .sets import SetBase, SetExpr, complement, intersect, omega, window_counts
 
-MAX_VERIFY_MEMBERS = 5
+MAX_VERIFY_MEMBERS = 8
 MAX_FIELD_MEMBERS = 4
 
 
@@ -63,25 +63,19 @@ def _resolve_names(family: Family, names: Optional[Sequence[str]], cap: int) -> 
     return chosen
 
 
-def atom(family: Family, bits: Sequence[int], names: Optional[Sequence[str]] = None) -> SetExpr:
-    """Intersection selecting each named member (bit 1) or its
-    complement (bit 0)."""
-    chosen = tuple(names) if names is not None else family.names
-    if len(bits) != len(chosen):
-        raise ValueError("one bit per member required")
-    parts = []
-    for name, b in zip(chosen, bits):
-        s = family.set_of(name)
-        parts.append(s if b else complement(s))
-    return intersect(*parts)
-
-
-def expected_atom_density(
-    family: Family, bits: Sequence[int], names: Optional[Sequence[str]] = None
-) -> Fraction:
-    chosen = tuple(names) if names is not None else family.names
-    densities = [family.density_of(n) for n in chosen]
-    return atom_density(densities, bits)
+def atoms(sets: Sequence[SetBase]) -> list[SetExpr]:
+    """The 2**k sign-pattern intersections of k sets, in
+    product((0, 1), repeat=k) order: each set (bit 1) or its complement
+    (bit 0).  They are the leaves of one tree that splits every node on
+    the next set, so atoms share their prefix nodes and a sweep computes
+    each node's chunk once."""
+    if len(sets) > MAX_VERIFY_MEMBERS:
+        raise ValueError(f"at most {MAX_VERIFY_MEMBERS} members supported here, got {len(sets)}")
+    nodes = [omega()]
+    for s in sets:
+        out = complement(s)
+        nodes = [x for n in nodes for x in (intersect(n, out), intersect(n, s))]
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -150,9 +144,11 @@ def _check_count_identities(
     atom_counts: Sequence[tuple[int, ...]],
 ) -> None:
     """Raise ValueError unless the swept atom counts add up exactly: to
-    each window, and, over the atoms with a member's bit set, to that
-    member's closed-form count.  The atoms come from chunk kernels, so a
-    wrong chunk bit shows up here on any window it falls below."""
+    each window; over the atoms with a member's bit set, to that
+    member's closed-form count; and, for a thin extension of the other
+    members, as _check_thinned_halves says.  The atoms come from chunk
+    kernels, so a wrong chunk bit shows up here on any window it falls
+    below."""
     for j, n in enumerate(windows):
         total = sum(counts[j] for counts in atom_counts)
         if total != n:
@@ -161,7 +157,10 @@ def _check_count_identities(
             )
     for i, name in enumerate(chosen):
         s = family.set_of(name)
-        if s.descriptor.get("kind") not in _CLOSED_FORM_KINDS:
+        kind = s.descriptor.get("kind")
+        if kind == "thin-ext" and sorted(s.descriptor["family"]) == sorted(set(chosen) - {name}):
+            _check_thinned_halves(i, chosen, patterns, windows, atom_counts)
+        if kind not in _CLOSED_FORM_KINDS:
             continue
         for j, n in enumerate(windows):
             swept = sum(c[j] for bits, c in zip(patterns, atom_counts) if bits[i])
@@ -170,6 +169,33 @@ def _check_count_identities(
                 raise ValueError(
                     f"count identity failed for member {name} at window {n}: "
                     f"its atoms count {swept}, its closed form {closed}"
+                )
+
+
+def _check_thinned_halves(
+    i: int,
+    chosen: tuple[str, ...],
+    patterns: Sequence[tuple[int, ...]],
+    windows: Sequence[int],
+    atom_counts: Sequence[tuple[int, ...]],
+) -> None:
+    """Member i thins the atoms of the other members, keeping the
+    even-rank indices of each, so at every window and for every base
+    pattern b over the others, |atom(b, 1)| = ceil((|atom(b, 0)| +
+    |atom(b, 1)|) / 2).  This checks thin's prefix-parity kernel."""
+    others = chosen[:i] + chosen[i + 1:]
+    step = 1 << (len(chosen) - 1 - i)  # from a pattern to its bit-i-cleared twin
+    for p, bits in enumerate(patterns):
+        if not bits[i]:
+            continue
+        for n, dropped, kept in zip(windows, atom_counts[p - step], atom_counts[p]):
+            want = (dropped + kept + 1) // 2
+            if kept != want:
+                base = SignPattern(others, bits[:i] + bits[i + 1:]).label()
+                raise ValueError(
+                    f"count identity failed for member {chosen[i]} on pattern {base} at "
+                    f"window {n}: it keeps {kept} of the pattern's {dropped + kept} indices, "
+                    f"not {want}"
                 )
 
 
@@ -185,7 +211,8 @@ def verify_independence(
     An atom passes when |empirical - expected| <= tol at the largest
     window and its own last-three-window spread is at most tol.  The
     default tolerance widens to 4/sqrt(N_max) when a randomized member
-    is involved.  Counts that break an exact identity (see
+    is involved.  The 2**k atoms, for at most MAX_VERIFY_MEMBERS
+    members, come from atoms().  Counts that break an exact identity (see
     _check_count_identities) raise ValueError instead of a report.
     """
     chosen = _resolve_names(family, names, MAX_VERIFY_MEMBERS)
@@ -196,13 +223,13 @@ def verify_independence(
         tol_f = as_fraction(tol)
 
     patterns = list(product((0, 1), repeat=len(chosen)))
-    atoms = [atom(family, bits, chosen) for bits in patterns]
-    atom_counts = window_counts(atoms, windows, workers)
+    declared = [family.density_of(n) for n in chosen]
+    atom_counts = window_counts(atoms([family.set_of(n) for n in chosen]), windows, workers)
     _check_count_identities(family, chosen, patterns, windows, atom_counts)
     reports = []
     all_pass = True
     for bits, counts in zip(patterns, atom_counts):
-        expected = expected_atom_density(family, bits, chosen)
+        expected = atom_density(declared, bits)
         densities = tuple(Fraction(c, n) for c, n in zip(counts, windows))
         dev, osc, ok = tail_check(densities, expected, tol_f)
         all_pass = all_pass and ok

@@ -14,7 +14,7 @@ from densfam import (
     ExtensionParams,
     WindowSchedule,
     alignment_block,
-    atom,
+    atoms,
     bisect_check,
     block_bounds,
     block_transform,
@@ -78,9 +78,8 @@ def test_acceptance_2_block_alignment_exact_shares():
             if rem:
                 ok = False
                 break
-            for i in range(8):
-                bits = tuple((i >> j) & 1 for j in range(3))
-                got = atom(fam, bits).count_range(start, end)
+            for a in atoms(fam.sets):
+                got = a.count_range(start, end)
                 checked += 1
                 if got != share:
                     ok = False
@@ -96,10 +95,9 @@ def test_acceptance_3_thin_extension_enlarged_family(sched_full):
     enlarged = fam.extended("T", b, Fraction(1, 2))
     rep = verify_independence(enlarged, schedule=sched_full, tol=TOL)
 
-    atoms = [atom(fam, (i >> 1 & 1, i & 1)) for i in range(4)]
     rng = np.random.default_rng(PINNED_SEED)
     samples = sorted(int(n) for n in rng.integers(1, N_FULL, size=100))
-    thinned, *atom_counts = window_counts([b, *atoms], samples)
+    thinned, *atom_counts = window_counts([b, *atoms(fam.sets)], samples)
     identity_ok = all(
         thinned[j] == sum((c[j] + 1) // 2 for c in atom_counts) for j in range(len(samples))
     )

@@ -4,13 +4,15 @@ import gc
 import hashlib
 import json
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from densfam import cli, constructors, fixedpoint
+import oracles
+from densfam import cli, constructors, fixedpoint, kw_set, reaping
 from densfam.cli import main
-from densfam.sets import CHUNK_BITS
+from densfam.sets import CHUNK_BITS, SetBase
 
 KW3 = {
     "family": [
@@ -22,6 +24,17 @@ KW3 = {
 }
 
 FAST = ["--schedule", "2000,2,3"]
+
+KW5 = {
+    "family": KW3["family"] + [
+        {"name": "A3", "kind": "kw", "radicand": 6, "threshold": "0.4"},
+        {"name": "A4", "kind": "kw", "radicand": 7, "threshold": "0.6"},
+    ],
+    "schedule": {"start": 1000, "ratio": "10", "count": 4},  # up to 10**6
+}
+
+# 9 members, one past the cap on sign-pattern constructions
+GAP9 = {"name": "G", "kind": "gap", "target": "0.9", "size": 9}
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -255,6 +268,30 @@ def test_extend_thin(tmp_path, capsys):
     assert rep["check"]["passed"] is True
 
 
+def test_extend_thin_on_five_members_matches_pointwise_counts(tmp_path, capsys):
+    assert main(["extend", write_spec(tmp_path, KW5), "--mode", "thin", "--name", "T"]) == 0
+    check = json.loads(capsys.readouterr().out)["check"]
+    assert check["passed"] is True
+    # at the first window, against members by exact orbit walking and T
+    # keeping the even-rank members of every base atom
+    n = 1000
+    leaves = []
+    for entry in KW5["family"]:
+        s = kw_set(entry["radicand"], entry["threshold"])
+        walked = oracles.orbit_walk_mask(s._step, s._thr_eff, 0, n)
+        leaves.append(("elements", frozenset(i for i in range(n) if walked >> i & 1)))
+
+    def atom_expr(bits):
+        return ("intersect", *(e if b else ("complement", e) for e, b in zip(leaves, bits)))
+
+    thinned = ("union", *(("thin", atom_expr(b)) for b in product((0, 1), repeat=5)))
+    t_members = oracles.expr_members(thinned, n)
+    leaves.append(("elements", frozenset(i for i in range(n) if t_members[i])))
+    want = {bits: sum(oracles.expr_members(atom_expr(bits), n))
+            for bits in product((0, 1), repeat=6)}
+    assert {tuple(a["pattern"].values()): a["counts"][0] for a in check["atoms"]} == want
+
+
 def test_extend_random(tmp_path, capsys):
     code = main(["extend", write_spec(tmp_path, KW3), "--mode", "random",
                  "--distinguished", "A1", "--seed", "20260816"])
@@ -399,6 +436,44 @@ def test_one_bit_kernel_error_breaks_a_count_identity(tmp_path, capsys, monkeypa
     assert "Traceback" not in err
     assert "count identity failed for member A0 at window 20000" in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_thin_parity_error_breaks_the_thinning_identity(tmp_path, capsys, monkeypatch):
+    # a thin kernel that gets one bit of every chunk wrong; the enlarged
+    # verify must find a base pattern whose T-atom is not half of it
+    real = reaping.thin
+
+    def flipped(s):
+        t = real(s)
+        return SetBase(t.descriptor, chunk_fn=lambda ci: t.chunk_mask(ci) ^ (1 << 12_345))
+
+    monkeypatch.setattr(reaping, "thin", flipped)
+    code = main(["extend", write_spec(tmp_path, KW3), "--mode", "thin", "--name", "T",
+                 "--schedule", "20000,2,3", "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert "count identity failed for member T on pattern A0=0,A1=0,A2=1 at window 80000: " \
+           "it keeps 9801 of the pattern's 19600 indices, not 9800" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", [["construct"], ["image"],
+                                     ["pack", "--side", "1", "--target", "0.3"]],
+                         ids=["construct", "image", "pack"])
+def test_thin_ext_entry_over_too_many_members_is_parse_error_naming_it(tmp_path, capsys,
+                                                                        command):
+    doc = {"family": [GAP9, {"name": "T", "kind": "thin-ext",
+                             "family": [f"G{i}" for i in range(9)]}]}
+    assert main([command[0], write_spec(tmp_path, doc), *command[1:]]) == 2
+    assert capsys.readouterr().err == "error: entry 'T': at most 8 members supported here, got 9\n"
+
+
+def test_reap_intersections_over_too_many_names_is_parse_error_naming_it(tmp_path, capsys):
+    names = ",".join(f"G{i}" for i in range(9))
+    argv = ["reap", write_spec(tmp_path, {"family": [GAP9]}), "G0", "--intersections", names]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --intersections takes at most 8 names, got 9\n"
 
 
 def test_random_extension_draws_each_chunk_once(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from densfam import (
     Family,
     WindowSchedule,
-    atom,
+    atoms,
     bisect_check,
     from_elements,
     from_membership,
@@ -94,9 +94,8 @@ def test_thin_extension_has_no_count_hint(half_family):
 
 def test_thin_extension_ceiling_identity(half_family):
     b = thin_extension(half_family)
-    atoms = [atom(half_family, (i >> 1 & 1, i & 1)) for i in range(4)]
     for n in range(0, 120, 7):
-        total = sum((a.prefix_count(n) + 1) // 2 for a in atoms)
+        total = sum((a.prefix_count(n) + 1) // 2 for a in atoms(half_family.sets))
         assert b.prefix_count(n) == total
 
 
@@ -108,9 +107,7 @@ def test_thin_extension_density_exact_on_aligned_windows(half_family):
 
 def test_thin_extension_bisects_atoms(half_family):
     b = thin_extension(half_family)
-    targets = [
-        (f"atom{i}", atom(half_family, ((i >> 1) & 1, i & 1))) for i in range(4)
-    ]
+    targets = [(f"atom{i}", a) for i, a in enumerate(atoms(half_family.sets))]
     rep = bisect_check(b, targets, EIGHTS, tol=Fraction(1, 1000))
     assert rep.passed
     for m in rep.members:

@@ -3,6 +3,7 @@
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,19 +14,21 @@ from densfam import (
     Family,
     SignPattern,
     WindowSchedule,
-    atom,
+    atom_density,
+    atoms,
     block_transform,
     coded_independent_set,
     complement,
-    expected_atom_density,
     field_elements,
     field_image,
     field_values,
+    from_elements,
     from_membership,
     image_density_scan,
     kw_family,
     kw_set,
     random_extension,
+    thin,
     thin_extension,
     verify_independence,
 )
@@ -58,16 +61,48 @@ def test_sign_pattern_validation():
 
 
 def test_atom_membership(half_family):
-    a = atom(half_family, (1, 0))
+    a = atoms(half_family.sets)[0b10]  # E=1, H=0
     # E and not H: n even, n mod 4 in {2, 3} -> n mod 4 == 2
     members = {n for n in range(40) if a.member(n)}
     assert members == {n for n in range(40) if n % 4 == 2}
 
 
 def test_atom_all_ones_is_intersection(kw_pair):
-    a = atom(kw_pair, (1, 1))
+    a = atoms(kw_pair.sets)[0b11]
     for n in (0, 13, 500):
         assert a.member(n) == (kw_pair.sets[0].member(n) and kw_pair.sets[1].member(n))
+
+
+_ATOM_N = 3000
+
+
+def _atom_leaves():
+    """Sets paired with the expressions oracles.expr_members evaluates
+    for them below _ATOM_N: a thinned set, a biased coin, a periodic set
+    and an explicit one."""
+    in_base = lambda n: n % 3 < 2  # noqa: E731
+    base = Family(("P",), (from_membership(in_base),), (Fraction(2, 3),))
+    coin, p = random_extension(base, "P", "2/5", seed=3)
+    tosses = (n for n in range(_ATOM_N) if oracles.coin_member(3, p.t1, p.t0, in_base(n), n))
+    sparse = frozenset(i * i % _ATOM_N for i in range(200))
+    return [
+        (thin(from_membership(lambda n: n % 7 in (1, 2, 4))),
+         ("thin", ("periodic", frozenset({1, 2, 4}), 7))),
+        (coin, ("elements", frozenset(tosses))),
+        (from_membership(in_base), ("periodic", frozenset({0, 1}), 3)),
+        (from_elements(sparse), ("elements", sparse)),
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_atoms_match_pointwise_intersections(k):
+    leaves = _atom_leaves()[:k]
+    got = atoms([s for s, _ in leaves])
+    assert len(got) == 1 << k
+    for a, bits in zip(got, product((0, 1), repeat=k)):
+        parts = (e if b else ("complement", e) for (_, e), b in zip(leaves, bits))
+        want = oracles.expr_members(("intersect", *parts), _ATOM_N)
+        assert a.bits_range(0, _ATOM_N).tolist() == want, bits
 
 
 @given(st.integers(0, 7))
@@ -75,7 +110,7 @@ def test_expected_atom_density_matches_oracle(bits_int):
     ds = [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)]
     fam_bits = tuple((bits_int >> j) & 1 for j in range(3))
     fam = kw_family([2, 3, 5], ds)
-    assert expected_atom_density(fam, fam_bits) == oracles.atom_density_ie(ds, fam_bits)
+    assert atom_density(fam.densities, fam_bits) == oracles.atom_density_ie(ds, fam_bits)
 
 
 # -- verification -------------------------------------------------------------
@@ -122,11 +157,14 @@ def test_verify_subset_of_members(kw_pair, small_schedule):
     assert rep.atoms[0].pattern.names == ("A1",)
 
 
-def test_verify_member_cap(small_schedule):
-    fam = exact_family(6)
-    with pytest.raises(ValueError):
-        verify_independence(fam, schedule=small_schedule)
-    assert MAX_VERIFY_MEMBERS == 5
+def test_verify_member_cap():
+    # windows are multiples of 2**8, where every residue atom is exact
+    sched = WindowSchedule(start=2048, ratio=Fraction(2), count=3)
+    rep = verify_independence(exact_family(8), schedule=sched)
+    assert rep.passed and len(rep.atoms) == 256
+    with pytest.raises(ValueError, match="at most 8 members supported here, got 9"):
+        verify_independence(exact_family(9), schedule=sched)
+    assert MAX_VERIFY_MEMBERS == 8
 
 
 def test_verify_unknown_name(kw_pair, small_schedule):
@@ -177,10 +215,21 @@ def test_verify_raises_when_a_block_chunk_breaks_its_closed_form(monkeypatch):
         verify_independence(fam, schedule=sched)
 
 
-def _verify_peak(with_thin: bool, n: int) -> int:
-    fam = kw_family([2, 3, 5], [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)])
-    if with_thin:
-        fam = fam.extended("T", thin_extension(fam), Fraction(1, 2))
+def _kw3():
+    return kw_family([2, 3, 5], [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)])
+
+
+def _kw3_thin():
+    fam = _kw3()
+    return fam.extended("T", thin_extension(fam), Fraction(1, 2))
+
+
+def _kw8():
+    return kw_family([2, 3, 5, 6, 7, 10, 11, 13], [Fraction(1, 2)] * 8)
+
+
+def _verify_peak(make_family, n: int) -> int:
+    fam = make_family()
     schedule = WindowSchedule(start=2000, ratio=Fraction(2), count=3).retarget(n)
     tracemalloc.start()
     try:
@@ -190,12 +239,13 @@ def _verify_peak(with_thin: bool, n: int) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("with_thin", [False, True], ids=["kw3", "kw3+thin-ext"])
-def test_verify_memory_is_flat_in_the_window(with_thin):
+@pytest.mark.parametrize("make_family", [_kw3, _kw3_thin, _kw8],
+                         ids=["kw3", "kw3+thin-ext", "k8"])
+def test_verify_memory_is_flat_in_the_window(make_family):
     # a chunk-major sweep holds one chunk per set whatever the window:
     # 8x the chunks may not raise the traced peak by more than 10%
-    _verify_peak(with_thin, 1 << 16)  # one-time allocations out of the way
-    small, large = _verify_peak(with_thin, 1 << 20), _verify_peak(with_thin, 1 << 23)
+    _verify_peak(make_family, 1 << 16)  # one-time allocations out of the way
+    small, large = _verify_peak(make_family, 1 << 20), _verify_peak(make_family, 1 << 23)
     assert large <= 1.1 * small, (small, large)
 
 
@@ -383,27 +433,20 @@ def test_scan_matches_fraction_oracle(ds, delta, max_values):
 def test_atom_over_single_member_is_the_member_or_complement():
     fam = exact_family(1)
     base = fam.sets[0]
-    hit = atom(fam, (1,))
-    miss = atom(fam, (0,))
+    miss, hit = atoms(fam.sets)
     for n in range(150):
         assert hit.member(n) == base.member(n)
         assert miss.member(n) == (not base.member(n))
 
 
 def test_atom_counts_partition_every_prefix(kw_pair):
-    from densfam import prefix_density
-    from itertools import product as iproduct
-
     for n in (1000, 4096, 9999):
-        total = sum(
-            atom(kw_pair, bits).prefix_count(n)
-            for bits in iproduct((0, 1), repeat=2)
-        )
+        total = sum(a.prefix_count(n) for a in atoms(kw_pair.sets))
         assert total == n
 
 
 def test_kw_pair_all_ones_expected_density(kw_pair):
-    assert expected_atom_density(kw_pair, (1, 1)) == Fraction(3, 20)
+    assert atom_density(kw_pair.densities, (1, 1)) == Fraction(3, 20)
 
 
 def test_field_symmetric_difference_element_density():
