@@ -319,7 +319,11 @@ def cmd_reap(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    if not args.name.strip():
+        raise SpecError("--name must be a nonempty name")
     spec = _load(args)
+    if args.name in spec.sets:
+        raise SpecError(f"--name {args.name!r} already names a set in the spec")
     family = spec.require_family()
     sched = _resolve_schedule(spec, args)
     tol = _resolve_tol(spec, args)

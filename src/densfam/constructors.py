@@ -20,10 +20,9 @@ certificate.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
+from itertools import accumulate, count, islice, product
 from math import factorial, inf
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -193,13 +192,6 @@ def kw_family(
 _CODED_MAX_DEPTH = 5
 
 
-def _coded_starts(depth: int) -> list[int]:
-    starts = [0]
-    for n in range(depth + 1):
-        starts.append(starts[-1] + (1 << (1 << n)))
-    return starts
-
-
 def coded_independent_set(
     sigma: Union[Sequence[int], Callable[[int], int]],
     depth_limit: int = 4,
@@ -214,7 +206,8 @@ def coded_independent_set(
     distinct parameters give genuinely distinct sets.
 
     depth_limit is capped at 5 because block n has 2**(2**n) indices;
-    indices beyond the last complete block are excluded.
+    indices beyond the last complete block are excluded.  A chunk reads
+    the offset bits of each block it meets in one numpy pass.
     """
     if not 0 <= depth_limit <= _CODED_MAX_DEPTH:
         raise ValueError(f"depth_limit must be in [0, {_CODED_MAX_DEPTH}]")
@@ -226,24 +219,30 @@ def coded_independent_set(
             raise ValueError("parameter bits must be 0 or 1")
         bits = tuple((seq[i] if i < len(seq) else 0) for i in range(depth_limit))
 
-    starts = _coded_starts(depth_limit)
-    end = starts[depth_limit + 1]
+    # block n is [starts[n], starts[n + 1]), of 2**(2**n) indices
+    starts = list(accumulate((1 << (1 << n) for n in range(depth_limit + 1)), initial=0))
     # lexicographic index of the length-n prefix among length-n strings:
     # the first bit is the most significant digit
     prefix_index = [0]
-    for n in range(depth_limit):
-        prefix_index.append((prefix_index[-1] << 1) | bits[n])
+    for b in bits:
+        prefix_index.append((prefix_index[-1] << 1) | b)
 
-    def is_member(k: int) -> bool:
-        if k < 0 or k >= end:
-            return False
-        n = bisect.bisect_right(starts, k) - 1
-        offset = k - starts[n]
-        return bool((offset >> prefix_index[n]) & 1)
+    def chunk(ci: int) -> int:
+        lo = ci * CHUNK_BITS
+        out = 0
+        for start, stop, shift in zip(starts, starts[1:], prefix_index):
+            a, b = max(lo, start), min(lo + CHUNK_BITS, stop)
+            if a < b:
+                # offsets in block n are below 2**(2**n) <= 2**32
+                offsets = np.arange(a - start, b - start, dtype=np.uint32)
+                offsets >>= shift
+                offsets &= 1
+                out |= bits_to_mask(offsets) << (a - lo)
+        return out
 
     return SetBase(
         {"kind": "coded", "sigma": "".join(str(b) for b in bits), "depth_limit": depth_limit},
-        membership=is_member,
+        chunk_fn=chunk,
     )
 
 
@@ -299,7 +298,7 @@ class BlockParitySet(SetBase):
     def classical_mask(self, m: int) -> int:
         """Bitmask of the classical set's membership on [0, m); m stays
         small, since only blocks 0-12 start below index 2**40."""
-        return sum(1 << n for n in range(m) if self._classical.member(n))
+        return bits_to_mask(self._classical.bits_range(0, m))
 
     def _period(self, m: int) -> int:
         got = self._periods.get(m)
@@ -375,9 +374,8 @@ def alignment_block(
     transforms occupies exactly a 2**-k share of each block.
     """
     k = len(classical)
-    probes = [BlockParitySet(c) for c in classical]
     for m in range(max_block + 1):
-        if f2_rank([p.classical_mask(m) for p in probes]) == k:
+        if f2_rank([bits_to_mask(c.bits_range(0, m)) for c in classical]) == k:
             return m
     return None
 
@@ -504,13 +502,7 @@ def random_extension(
 
 def square_free_radicands(k: int) -> tuple[int, ...]:
     """The first k square-free integers >= 2."""
-    out = []
-    r = 2
-    while len(out) < k:
-        if fx.is_square_free(r):
-            out.append(r)
-        r += 1
-    return tuple(out)
+    return tuple(islice(filter(fx.is_square_free, count(2)), k))
 
 
 def gap_family(
@@ -532,13 +524,15 @@ def gap_family(
         raise ValueError("gap target must lie strictly between 1/2 and 1")
     if size < 1:
         raise ValueError("family must be nonempty")
-    radicands = square_free_radicands(size)
+    # radicands are found member by member, so a size past the guard
+    # band fails at its first unguardable threshold, not after the search
+    radicands = filter(fx.is_square_free, count(2))
     sets = []
     declared = []
-    for n in range(size):
+    for n, radicand in zip(range(size), radicands):
         thr = fx.iterated_sqrt_fixed(p, n + 1)
         d = Fraction(thr, fx.MOD)
-        sets.append(KWSet(radicands[n], d, thr_fixed=thr))
+        sets.append(KWSet(radicand, d, thr_fixed=thr))
         declared.append(d)
     prod = Fraction(1)
     for d in declared:

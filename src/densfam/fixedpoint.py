@@ -58,10 +58,12 @@ _THRESHOLD_MARGIN = Fraction(1, 1 << (GUARD_BITS - 1))
 
 
 def check_index_bound(n: int) -> None:
-    """Reject an index bound outside the 96-bit validity domain."""
+    """Reject an index bound outside the 96-bit validity domain, in a
+    message that gives a long bound by its bit length, not its digits."""
     if n > INDEX_LIMIT:
+        shown = n if n.bit_length() <= 64 else f"of {n.bit_length()} bits"
         raise ValueError(
-            f"index bound {n} exceeds 2**40, the validity limit of the 96-bit "
+            f"index bound {shown} exceeds 2**40, the validity limit of the 96-bit "
             "rotation arithmetic"
         )
 

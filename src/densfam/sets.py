@@ -1,16 +1,13 @@
 """Lazy subsets of the nonnegative integers with exact prefix counting.
 
-Every set is one type, ``SetBase``: a descriptor, a chunk kernel or a
-membership oracle, and an optional exact count hint, all fixed when the
-set is built.  A chunk is membership over an aligned 65536-index range,
-as a Python integer bitmask, combined with other sets' chunks by cheap
-bitwise operations.  Only the two pointwise kinds, ``from_membership``
-and coded classical sets, are given by an oracle, and their chunks are
-filled one oracle call per index; ``member`` reads one bit of a chunk
-on every other kind.  Rotation, block-parity and boolean-combination
-sets subclass ``SetBase`` to supply their own kernel.  All counts are
-exact integers; densities derived from them are exact ``Fraction``
-values.
+Every set is one type, ``SetBase``: a descriptor, a chunk function and
+an optional exact count hint, all fixed when the set is built.  A chunk
+is membership over an aligned 65536-index range, as a Python integer
+bitmask, combined with other sets' chunks by cheap bitwise operations,
+and ``member`` reads one bit of a chunk.  Rotation, block-parity and
+boolean-combination sets subclass ``SetBase`` to supply their own
+kernel.  All counts are exact integers; densities derived from them are
+exact ``Fraction`` values.
 
 ``window_counts`` counts many sets in one chunk-major sweep, so a leaf
 shared by many expressions is computed once per chunk, and each set
@@ -23,7 +20,6 @@ count.  The one-set helpers sweep in the calling process.
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -46,13 +42,11 @@ def mask_to_bits(mask: int, width: int) -> np.ndarray:
 
 
 class SetBase:
-    """A subset of ω: a descriptor plus a chunk function or a membership
-    oracle, and an optional exact count hint, all fixed when it is built.
+    """A subset of ω: a descriptor plus a chunk function and an optional
+    exact count hint, all fixed when it is built.
 
     ``chunk_fn(ci)`` supplies the whole 65536-index membership bitmask of
-    chunk ci.  A set defined point by point gives ``membership`` instead:
-    then ``member`` calls it, and each chunk is filled one oracle call
-    per index.  ``count_hint``, when supplied, must return the exact
+    chunk ci.  ``count_hint``, when supplied, must return the exact
     value of |S ∩ [0, n)| for every n; it is trusted by ``prefix_count``
     and is spot-checked against exhaustive counting in the test suite.
     A kind with its own kernel subclasses this and overrides
@@ -68,12 +62,10 @@ class SetBase:
         descriptor: dict,
         *,
         chunk_fn: Optional[Callable[[int], int]] = None,
-        membership: Optional[Callable[[int], bool]] = None,
         count_hint: Optional[Callable[[int], int]] = None,
     ) -> None:
         self.descriptor = descriptor
         self._chunk_fn = chunk_fn
-        self._membership = membership
         self._count_hint = count_hint
         # (ci, mask) of the last chunk computed.  Each window_counts worker
         # is a forked process with its own copy of the set, so this slot,
@@ -83,19 +75,17 @@ class SetBase:
     # -- membership ---------------------------------------------------
 
     def member(self, n: int) -> bool:
-        """Whether n is in the set: the oracle's answer, or else bit
-        n % CHUNK_BITS of chunk n // CHUNK_BITS.
+        """Whether n is in the set: bit n % CHUNK_BITS of chunk
+        n // CHUNK_BITS.
 
-        No count calls this, and no command queries a kernel-backed set
-        point by point.  A query computes its whole chunk unless it is
-        the last one the set computed, so an isolated query costs
-        a chunk (about 0.1 ms for a rotation set), and every query
-        shifts an 8 KiB integer.
+        No count calls this, and no command queries a set point by
+        point.  A query computes its whole chunk unless it is the last
+        one the set computed, so an isolated query costs a chunk (about
+        0.1 ms for a rotation set), and every query shifts an 8 KiB
+        integer.
         """
         if n < 0:
             return False
-        if self._membership is not None:
-            return bool(self._membership(n))
         return bool(self.chunk_mask(n // CHUNK_BITS) >> (n % CHUNK_BITS) & 1)
 
     def __contains__(self, n: int) -> bool:
@@ -108,11 +98,7 @@ class SetBase:
     # -- chunked evaluation -------------------------------------------
 
     def _compute_chunk(self, ci: int) -> int:
-        if self._membership is None:
-            return self._chunk_fn(ci)
-        base = ci * CHUNK_BITS
-        members = map(self._membership, range(base, base + CHUNK_BITS))
-        return bits_to_mask(np.fromiter(members, bool, CHUNK_BITS))
+        return self._chunk_fn(ci)
 
     def chunk_mask(self, ci: int) -> int:
         """Membership bitmask for indices [ci*CHUNK_BITS, (ci+1)*CHUNK_BITS)."""
@@ -278,7 +264,8 @@ def from_elements(elements: Iterable[int]) -> SetBase:
     arr = np.array(elems, dtype=np.int64 if top < (1 << 63) - CHUNK_BITS else object)
 
     def hint(n: int) -> int:
-        return bisect.bisect_left(elems, n)
+        # an n past the top may not fit the array's dtype
+        return len(elems) if n > top else int(np.searchsorted(arr, n))
 
     def chunk(ci: int) -> int:
         lo = ci * CHUNK_BITS
@@ -297,7 +284,18 @@ def from_elements(elements: Iterable[int]) -> SetBase:
 
 
 def from_membership(fn: Callable[[int], bool], descriptor: Optional[dict] = None) -> SetBase:
-    return SetBase(descriptor or {"kind": "oracle"}, membership=fn)
+    """The set {n : fn(n)}, its chunks filled one call of fn per index.
+
+    A reference for tests and scripts: even a lone ``member`` query
+    computes its whole chunk, which is 65,536 calls of fn.
+    """
+
+    def chunk(ci: int) -> int:
+        base = ci * CHUNK_BITS
+        members = map(fn, range(base, base + CHUNK_BITS))
+        return bits_to_mask(np.fromiter(members, bool, CHUNK_BITS))
+
+    return SetBase(descriptor or {"kind": "oracle"}, chunk_fn=chunk)
 
 
 # -- operations -------------------------------------------------------

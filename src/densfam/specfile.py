@@ -216,8 +216,9 @@ def load_spec(doc: dict, default_seed: Optional[int] = None) -> LoadedSpec:
         elif kind == "gap":
             target = parse_rational(_need(entry, "target", name), f"{name} target")
             size = parse_integer(_need(entry, "size", name), f"{name} size")
-            for n, s, d in gap_family(target, size, [f"{name}{i}" for i in range(size)]).items():
-                define(n, s, d)
+            gap = gap_family(target, size)
+            for i, (s, d) in enumerate(zip(gap.sets, gap.densities)):
+                define(f"{name}{i}", s, d)
 
         elif kind == "thin-ext":
             sub = _subfamily(_need(entry, "family", name), sets, densities, name)

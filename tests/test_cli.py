@@ -1,13 +1,20 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from densfam import cli, constructors, fixedpoint, kw_set, reaping
@@ -560,6 +567,14 @@ def test_window_past_rotation_validity_limit_is_precondition_error(tmp_path, cap
     assert "2**40" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schedule", ["1000,2,3000", "1000,2,20000"])
+def test_index_bound_error_is_one_short_line(tmp_path, capsys, schedule):
+    assert main(["construct", write_spec(tmp_path, KW3), "--schedule", schedule]) == 3
+    err = capsys.readouterr().err
+    assert "2**40" in err
+    assert len(err) < 200 and err.count("\n") == 1
+
+
 # -- remaining descriptor kinds through the CLI -------------------------------
 
 BLOCK1 = {
@@ -602,6 +617,45 @@ def test_gap_spec_image_has_unhit_cells_inside_gap(tmp_path, capsys):
     for c in unhit:
         assert float(c["lo"]["decimal"]) >= 1 - prod
         assert float(c["hi"]["decimal"]) <= prod
+
+
+RANDOM = ["--mode", "random", "--distinguished", "A0", "--seed", "7"]
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    (KW3, ["--mode", "thin", "--name", "A0"], "--name 'A0' already names a set in the spec"),
+    (KW3, ["--mode", "thin", "--family", "A0,A1", "--name", "A2"],
+     "--name 'A2' already names a set in the spec"),
+    (KW3, [*RANDOM, "--name", "A1"], "--name 'A1' already names a set in the spec"),
+    (BLOCK1, ["--mode", "thin", "--name", "C0"], "--name 'C0' already names a set in the spec"),
+    (KW3, ["--mode", "thin", "--name", ""], "--name must be a nonempty name"),
+    (KW3, [*RANDOM, "--name", ""], "--name must be a nonempty name"),
+], ids=["thin-family-member", "thin-outside-the-base", "random-family-member",
+        "thin-auxiliary-set", "thin-empty", "random-empty"])
+def test_extend_name_that_is_empty_or_taken_is_parse_error_naming_it(tmp_path, capsys,
+                                                                     monkeypatch, doc, argv,
+                                                                     message):
+    def never(*_):
+        raise AssertionError("the new member was built")
+
+    monkeypatch.setattr(cli, "thin_extension", never)
+    monkeypatch.setattr(cli, "random_extension", never)
+    assert main(["extend", write_spec(tmp_path, doc), *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_gap_entry_past_the_guard_band_fails_fast(tmp_path):
+    # member 35 or so of a 0.9 gap family has a threshold too close to 1,
+    # so a million members must fail there, not after a million searches
+    doc = {"family": [{"name": "G", "kind": "gap", "target": "0.9", "size": 1000000}]}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-m", "densfam.cli", "image",
+                           write_spec(tmp_path, doc)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert done.returncode == 2
+    assert done.stderr == "error: entry 'G': threshold too close to 0 or 1 for guarded comparison\n"
 
 
 def test_expr_spec_declares_intersection_density(tmp_path, capsys):
@@ -865,3 +919,36 @@ def test_workers_below_one_is_parse_error_naming_it(tmp_path, capsys, command, v
     argv = [command[0], write_spec(tmp_path, KW3), *command[1:], "--workers", value]
     assert _exit_code(argv) == 2
     assert f"argument --workers: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+# -- generated name lists ------------------------------------------------------
+
+# the spec's names, spaces and commas, joined; the empty list gives ""
+NAME_TEXT = st.lists(st.sampled_from(["A0", "A1", "A2", " ", ","]), max_size=5).map("".join)
+
+
+@pytest.fixture(scope="module")
+def kw3_path(tmp_path_factory):
+    return write_spec(tmp_path_factory.mktemp("names"), KW3)
+
+
+@given(NAME_TEXT, NAME_TEXT, st.sampled_from(["extend-thin", "extend-random", "pack", "reap"]))
+# no shrink phase, so that a failure reports in seconds
+@settings(max_examples=30, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_name_flags_exit_cleanly(kw3_path, name, names, command):
+    argv = {
+        "extend-thin": ["extend", kw3_path, "--mode", "thin", "--name", name,
+                        "--family", names, "--prefix", "3000"],
+        "extend-random": ["extend", kw3_path, *RANDOM, "--name", name,
+                          "--family", names, "--prefix", "3000"],
+        "pack": ["pack", kw3_path, "--side", "1", "--target", "0.3", "--members", names],
+        "reap": ["reap", kw3_path, "A0", "--intersections", names, "--prefix", "3000"],
+    }[command]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's own rejections
+            code = e.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -241,6 +241,36 @@ def test_coded_indices_beyond_last_block_excluded():
     assert not any(s.member(k) for k in range(22, 50))
 
 
+# a parameter per depth, with both bit values below the cap
+CODED_SIGMA = {0: "", 1: "1", 2: "10", 3: "011", 4: "1011", 5: "01101"}
+
+
+@pytest.mark.parametrize("depth", sorted(CODED_SIGMA))
+def test_coded_kernel_matches_oracle_next_to_every_block_start(depth):
+    sigma = CODED_SIGMA[depth]
+    s = coded_independent_set(sigma, depth)
+    # the last start is the end of the last block
+    starts = oracles.coded_block_starts(depth)
+    for k in sorted({k for start in starts for k in (start - 1, start, start + 1) if k >= 0}):
+        assert s.member(k) == oracles.coded_member_enum(sigma, depth, k), k
+
+
+@pytest.mark.parametrize("depth", sorted(CODED_SIGMA))
+def test_coded_kernel_matches_oracle_on_the_chunk_that_holds_its_end(depth):
+    sigma = CODED_SIGMA[depth]
+    s = coded_independent_set(sigma, depth)
+    end = oracles.coded_block_starts(depth)[-1]
+    ci = end // CHUNK_BITS
+    assert ci == {4: 1, 5: 65537}.get(depth, 0)
+    assert s.member(end - 1) == oracles.coded_member_enum(sigma, depth, end - 1)
+    assert not s.member(end)
+    lo = ci * CHUNK_BITS
+    expect = sum(1 << i for i in range(CHUNK_BITS)
+                 if oracles.coded_member_enum(sigma, depth, lo + i))
+    assert s.chunk_mask(ci) == expect
+    assert s.chunk_mask(ci + 1) == 0
+
+
 # -- factorial blocks ----------------------------------------------------------
 
 

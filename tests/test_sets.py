@@ -192,6 +192,18 @@ def test_hint_and_sweep_agree(a):
     assert s.prefix_count(401) == s.sweep_prefix(401)
 
 
+def test_from_membership_reads_fn_across_three_chunks():
+    def fn(n):
+        return n % 3 != 1 or n == CHUNK_BITS + 1
+
+    s = from_membership(fn)
+    edges = {c * CHUNK_BITS + d for c in range(3) for d in (-1, 0, 1)}
+    for n in sorted(edges.union(range(0, 3 * CHUNK_BITS, 97)) - {-1}):
+        assert s.member(n) == fn(n), n
+    # fn(-1) holds, but no negative index is a member
+    assert fn(-1) and s.member(-1) is False
+
+
 def test_count_range_additive():
     s = from_membership(lambda n: n % 7 in (0, 3))
     total = s.prefix_count(10_000)
