@@ -103,9 +103,14 @@ def _unit_flag(text: str, flag: str) -> Fraction:
     return x
 
 
-def _names_flag(text: str) -> list[str]:
-    """A comma-separated list of names, each stripped, empty ones dropped."""
-    return [n.strip() for n in text.split(",") if n.strip()]
+def _names_flag(text: str, flag: str) -> list[str]:
+    """A comma-separated list of distinct names, each stripped, empty ones
+    dropped."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise SpecError(f"{flag} names {name!r} twice")
+    return names
 
 
 def _named_set(spec: LoadedSpec, name: str) -> SetBase:
@@ -126,7 +131,7 @@ def _resolve_schedule(spec: LoadedSpec, args) -> WindowSchedule:
     # rotation sets reject windows past their validity limit themselves,
     # but only once a sweep reaches that far; fail before the sweep
     if any(isinstance(s, KWSet) for s in spec.sets.values()):
-        check_index_bound(sched.windows()[-1])
+        check_index_bound(sched.n_max)
     return sched
 
 
@@ -285,7 +290,7 @@ def cmd_reap(args) -> int:
 
     targets: list[tuple[str, SetBase]] = []
     if args.intersections:
-        names = _names_flag(args.intersections)
+        names = _names_flag(args.intersections, "--intersections")
         if len(names) > MAX_VERIFY_MEMBERS:
             # 2**k - 1 targets: bound them as verify bounds its 2**k atoms
             raise SpecError(
@@ -327,7 +332,7 @@ def cmd_extend(args) -> int:
     family = spec.require_family()
     sched = _resolve_schedule(spec, args)
     tol = _resolve_tol(spec, args)
-    base = family.subfamily(_names_flag(args.family)) if args.family else family
+    base = family.subfamily(_names_flag(args.family, "--family")) if args.family else family
 
     if args.mode == "thin":
         new_set = thin_extension(base)
@@ -394,7 +399,7 @@ def cmd_extend(args) -> int:
 def cmd_pack(args) -> int:
     spec = _load(args)
     family = spec.require_family()
-    base = family.subfamily(_names_flag(args.members)) if args.members else family
+    base = family.subfamily(_names_flag(args.members, "--members")) if args.members else family
     result = greedy_atom_pack(base, args.side, _unit_flag(args.target, "--target"))
 
     passed = result.certificate_ok()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import Optional, Sequence, Union
 
@@ -62,11 +63,19 @@ class WindowSchedule:
             raise ValueError("schedule needs at least 3 windows")
         if self.end is not None and self.end < 1:
             raise ValueError("schedule end must be >= 1")
-        ws = self.windows()
-        if any(b <= a for a, b in zip(ws, ws[1:])):
-            raise ValueError("schedule windows must be strictly increasing")
+        # unrounded windows grow by at least 1 from the smallest on, which
+        # proves strict increase without computing them; else check them
+        low = self.start if self.end is None else self.end / self.ratio ** (self.count - 1)
+        if low * (self.ratio - 1) < 1:
+            ws = self.windows()
+            if any(b <= a for a, b in zip(ws, ws[1:])):
+                raise ValueError("schedule windows must be strictly increasing")
 
     def windows(self) -> tuple[int, ...]:
+        return self._windows
+
+    @cached_property
+    def _windows(self) -> tuple[int, ...]:
         if self.end is not None:
             return tuple(
                 _ceil(Fraction(self.end) / self.ratio ** (self.count - 1 - j))
@@ -78,7 +87,10 @@ class WindowSchedule:
 
     @property
     def n_max(self) -> int:
-        return self.windows()[-1]
+        """The largest window, without computing the others."""
+        if self.end is not None:
+            return self.end
+        return _ceil(self.start * self.ratio ** (self.count - 1))
 
     def retarget(self, n_max: int) -> "WindowSchedule":
         """Same ratio, final window pinned to exactly n_max.

@@ -24,7 +24,7 @@ from .density import (
     as_fraction,
     tail_check,
 )
-from .sets import SetBase, intersect, thin, union, window_counts
+from .sets import SetBase, intersect, thin, window_counts
 from .verify import atoms
 
 
@@ -111,22 +111,20 @@ def bisect_check(
 
 
 def thin_extension(family: Family) -> SetBase:
-    """Union of the thinned sign-pattern intersections of the family,
-    taken from atoms(): at most MAX_VERIFY_MEMBERS members, and one fewer
-    to verify the enlarged family.
+    """One thinning of the family's sign-pattern intersections, taken
+    from atoms(): at most MAX_VERIFY_MEMBERS members, and one fewer to
+    verify the enlarged family.
 
-    Every sign pattern keeps exactly the even-rank members of its
-    intersection, so within each intersection the new set holds
-    ceil(count/2) of the first n indices: it bisects every nonempty
-    intersection up to a one-index rounding error per pattern, and its
-    own density is 1/2.  The returned set is the union's chunks under
-    the family's descriptor and carries no counting shortcut; its counts
-    come from actual membership masks, which keeps count cross-checks
-    meaningful.
+    The thin node keeps exactly the even-rank members of every atom, so
+    within each intersection the new set holds ceil(count/2) of the first
+    n indices: it bisects every nonempty intersection up to a one-index
+    rounding error per pattern, and its own density is 1/2.  The returned
+    set is that node's chunks under the family's descriptor and carries no
+    counting shortcut; its counts come from actual membership masks,
+    which keeps count cross-checks meaningful.
     """
-    thins = [thin(a) for a in atoms(family.sets)]
     descriptor = {"kind": "thin-ext", "family": list(family.names)}
-    return SetBase(descriptor, chunk_fn=union(*thins).chunk_mask)
+    return SetBase(descriptor, chunk_fn=thin(*atoms(family.sets)).chunk_mask)
 
 
 @dataclass(frozen=True)

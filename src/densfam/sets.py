@@ -15,7 +15,9 @@ keeps only the last chunk it computed: memory is flat in the window
 size.  It is the one way into parallel counting: its ``workers``
 argument splits the chunk range into contiguous parts counted in forked
 worker processes and summed, so results are identical for any worker
-count.  The one-set helpers sweep in the calling process.
+count.  The one-set helpers sweep in the calling process.  A thinning
+is one set however many parts it thins, with one rank over all of
+them, so a worker ranks every part below its range in one shared sweep.
 """
 
 from __future__ import annotations
@@ -69,7 +71,9 @@ class SetBase:
         self._count_hint = count_hint
         # (ci, mask) of the last chunk computed.  Each window_counts worker
         # is a forked process with its own copy of the set, so this slot,
-        # like thin's rank, is only ever read and replaced by one sweep.
+        # like a thinning's rank, is read and replaced only by that
+        # process's sweeps: its range's, and the one a thinning runs below
+        # its first chunk to rank all its parts.
         self._chunk: tuple[int, int] = (-1, 0)
 
     # -- membership ---------------------------------------------------
@@ -343,42 +347,40 @@ def scale(s: SetBase, factor: int) -> SetBase:
     )
 
 
-def thin(s: SetBase) -> SetBase:
-    """Every other element of S: keep members of even rank.
+def thin(*parts: SetBase) -> SetBase:
+    """Every other element of each part, the union over the parts.
 
-    If x_0 < x_1 < ... enumerates S, the result is {x_0, x_2, x_4, ...}.
-    Exact count identity: |thin(S) ∩ [0,n)| = ceil(|S ∩ [0,n)| / 2).
+    If x_0 < x_1 < ... enumerates a part S, it keeps {x_0, x_2, x_4, ...}.
+    One part has the count hint |thin(S) ∩ [0,n)| = ceil(|S ∩ [0,n)| / 2).
     With P the chunk's inclusive prefix parity of S (bit i set when S has
     an odd number of members in [0, i] of the chunk, by a doubling
-    shift-XOR scan), a chunk is S & P after an even count of S and S & ~P
-    after an odd one.  The set keeps the next chunk index and S's count
-    below it, so a forward sweep gets each chunk's starting rank for
-    free; any other chunk, such as the one a lone membership query
-    reads, takes it from S's prefix count.
+    shift-XOR scan), S keeps S & P after an even count of S and S & ~P
+    after an odd one.  The set keeps one rank, the next chunk index and
+    every part's count below it, so a forward sweep gets each chunk's
+    starting ranks for free; any other chunk, such as the first of a
+    worker's range, takes them from one window_counts sweep of all parts.
     """
-    rank = (0, 0)  # (next chunk index, S's count below it), one per process
-
-    def hint(n: int) -> int:
-        c = s.prefix_count(n)
-        return (c + 1) // 2
+    s, *more = parts
+    hint = None if more else lambda n: (s.prefix_count(n) + 1) // 2
+    rank = (0, (0,) * len(parts))  # (next chunk, counts below it), replaced whole
 
     def chunk(ci: int) -> int:
         nonlocal rank
         at, below = rank
         if at != ci:
-            below = s.prefix_count(ci * CHUNK_BITS)
-        base = s.chunk_mask(ci)
-        rank = (ci + 1, below + base.bit_count())
-        parity = base
-        for k in range(CHUNK_BITS.bit_length() - 1):
-            parity ^= parity << (1 << k)
-        return base & ~parity if below & 1 else base & parity
+            below = tuple(c for (c,) in window_counts(parts, (ci * CHUNK_BITS,)))
+        bases = [p.chunk_mask(ci) for p in parts]
+        rank = (ci + 1, tuple(c + m.bit_count() for c, m in zip(below, bases)))
+        out = 0
+        for c, base in zip(below, bases):
+            parity = base
+            for k in range(CHUNK_BITS.bit_length() - 1):
+                parity ^= parity << (1 << k)
+            out |= base & ~parity if c & 1 else base & parity
+        return out
 
-    return SetBase(
-        {"kind": "thin", "of": s.descriptor},
-        count_hint=hint,
-        chunk_fn=chunk,
-    )
+    of = [p.descriptor for p in parts] if more else s.descriptor
+    return SetBase({"kind": "thin", "of": of}, count_hint=hint, chunk_fn=chunk)
 
 
 def intersect(*sets: SetBase) -> SetExpr:

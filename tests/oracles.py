@@ -320,7 +320,7 @@ def expr_members(expr, n: int) -> list:
     Leaves: ("periodic", residues, modulus), ("elements", members),
     ("omega",) and ("empty",).  Nodes: ("complement", x),
     ("intersect", x, ...), ("union", x, ...), ("sym_diff", x, y),
-    ("thin", x), which keeps x's members of even rank, and
+    ("thin", x, ...), which keeps each x's members of even rank, and
     ("scale", x, m) = {m * a : a in x}."""
     kind, args = expr[0], expr[1:]
     if kind == "periodic":
@@ -344,9 +344,11 @@ def expr_members(expr, n: int) -> list:
     if kind == "sym_diff":
         return [a != b for a, b in zip(*parts)]
     if kind == "thin":
-        out, rank = [], 0
-        for v in parts[0]:
-            out.append(v and rank % 2 == 0)
-            rank += v
+        out = [False] * n
+        for part in parts:
+            rank = 0
+            for i, v in enumerate(part):
+                out[i] = out[i] or (v and rank % 2 == 0)
+                rank += v
         return out
     raise ValueError(f"unknown expression kind {kind!r}")

@@ -391,7 +391,7 @@ def test_extend_random_reports_are_byte_identical_across_workers(tmp_path):
 ], ids=["verify", "extend-thin", "reap-intersections"])
 def test_chunked_reports_are_byte_identical_across_workers(tmp_path, command):
     # each worker process sweeps its own range of the 16 chunks; the thin
-    # extension's workers first rank each atom below their range
+    # extension's workers first rank all atoms below their range in one sweep
     spec = write_spec(tmp_path, KW3)
     outs = []
     for w in ("1", "2", "3", "8"):
@@ -399,6 +399,55 @@ def test_chunked_reports_are_byte_identical_across_workers(tmp_path, command):
         assert main([command[0], spec, *command[1:], "--prefix", str(16 * CHUNK_BITS),
                      "--workers", w, "--out", str(outs[-1])]) in (0, 1)
     assert len({o.read_bytes() for o in outs}) == 1
+
+
+@st.composite
+def thin_ext_specs(draw) -> dict:
+    """1-4 rotation members, a thin extension over some of them and an
+    expression over the extension."""
+    radicands = draw(st.lists(st.sampled_from([2, 3, 5, 6, 7]), min_size=1, max_size=4,
+                              unique=True))
+    names = [f"A{i}" for i in range(len(radicands))]
+    members = [{"name": n, "kind": "kw", "radicand": r,
+                "threshold": draw(st.sampled_from(["0.3", "1/2", "0.7"]))}
+               for n, r in zip(names, radicands)]
+    base = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    t = {"ref": "T"}
+    expr = draw(st.one_of(
+        st.builds(lambda op, a: {"op": op, "args": [t, {"ref": a}]},
+                  st.sampled_from(["intersect", "union", "sym_diff"]), st.sampled_from(names)),
+        st.just({"op": "complement", "args": [t]}),
+        st.builds(lambda m: {"op": "scale", "factor": m, "args": [t]}, st.integers(2, 5)),
+    ))
+    return {"family": [*members, {"name": "T", "kind": "thin-ext", "family": base},
+                       {"name": "E", "kind": "expr", "density": "1/4", "expr": expr}],
+            "schedule": {"start": 2000, "ratio": "2", "count": 3}}
+
+
+def _run_main(argv) -> tuple[int, str, str]:
+    """main's exit code, argparse's own included, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(thin_ext_specs(), st.sampled_from(["construct", "verify"]))
+# no shrink phase, so that a failure reports in seconds
+@settings(max_examples=20, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_thin_ext_reports_are_identical_across_workers(tmp_path_factory, doc, command):
+    # three chunks, so each of three workers ranks the thinned atoms below
+    # its own chunk before it counts
+    spec = write_spec(tmp_path_factory.mktemp("workers"), doc)
+    runs = [_run_main([command, spec, "--prefix", str(3 * CHUNK_BITS), "--workers", w])
+            for w in ("1", "3")]
+    for code, _, err in runs:
+        assert code in (0, 1)
+        assert "Traceback" not in err
+    assert runs[0] == runs[1]
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -446,13 +495,14 @@ def test_one_bit_kernel_error_breaks_a_count_identity(tmp_path, capsys, monkeypa
 
 
 def test_thin_parity_error_breaks_the_thinning_identity(tmp_path, capsys, monkeypatch):
-    # a thin kernel that gets one bit of every chunk wrong; the enlarged
-    # verify must find a base pattern whose T-atom is not half of it
+    # a thinning node that sets one bit of every chunk, as flipping that
+    # bit in every atom's thinning did; the enlarged verify must find a
+    # base pattern whose T-atom is not half of it
     real = reaping.thin
 
-    def flipped(s):
-        t = real(s)
-        return SetBase(t.descriptor, chunk_fn=lambda ci: t.chunk_mask(ci) ^ (1 << 12_345))
+    def flipped(*parts):
+        t = real(*parts)
+        return SetBase(t.descriptor, chunk_fn=lambda ci: t.chunk_mask(ci) | (1 << 12_345))
 
     monkeypatch.setattr(reaping, "thin", flipped)
     code = main(["extend", write_spec(tmp_path, KW3), "--mode", "thin", "--name", "T",
@@ -644,18 +694,33 @@ def test_extend_name_that_is_empty_or_taken_is_parse_error_naming_it(tmp_path, c
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _run_in_ten_seconds(*argv) -> subprocess.CompletedProcess:
+    """The command line in a fresh process, which must end within 10 s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run([sys.executable, "-m", "densfam.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+
+
 def test_gap_entry_past_the_guard_band_fails_fast(tmp_path):
     # member 35 or so of a 0.9 gap family has a threshold too close to 1,
     # so a million members must fail there, not after a million searches
     doc = {"family": [{"name": "G", "kind": "gap", "target": "0.9", "size": 1000000}]}
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    done = subprocess.run([sys.executable, "-m", "densfam.cli", "image",
-                           write_spec(tmp_path, doc)],
-                          capture_output=True, text=True, env=env, timeout=10)
+    done = _run_in_ten_seconds("image", write_spec(tmp_path, doc))
     assert done.returncode == 2
     assert done.stderr == "error: entry 'G': threshold too close to 0 or 1 for guarded comparison\n"
+
+
+def test_mistyped_schedule_count_fails_fast(tmp_path):
+    # 100,000 windows of ratio 2 from 1000: strict increase is proved in
+    # closed form and the 2**40 bound reads the largest window alone, so
+    # no window of 100,000 bits is ever computed
+    done = _run_in_ten_seconds("construct", write_spec(tmp_path, KW3),
+                               "--schedule", "1000,2,100000")
+    assert done.returncode == 3
+    assert done.stderr == ("error: index bound of 100009 bits exceeds 2**40, the validity "
+                           "limit of the 96-bit rotation arithmetic\n")
 
 
 def test_expr_spec_declares_intersection_density(tmp_path, capsys):
@@ -894,6 +959,19 @@ def test_wrong_typed_spec_value_is_parse_error_naming_it(tmp_path, capsys, doc, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command, message", [
+    (["reap", "A0", "--intersections", "A1,A1"], "--intersections names 'A1' twice"),
+    (["extend", "--mode", "thin", "--name", "T", "--family", "A0,A0"],
+     "--family names 'A0' twice"),
+    (["pack", "--side", "0", "--target", "0.5", "--members", "A0, A1,A0"],
+     "--members names 'A0' twice"),
+], ids=["reap-intersections", "extend-family", "pack-members"])
+def test_repeated_name_in_a_name_list_is_parse_error_naming_the_flag(tmp_path, capsys,
+                                                                     command, message):
+    assert main([command[0], write_spec(tmp_path, KW3), *command[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["negative", "2**128"])
 @pytest.mark.parametrize("command", [["construct"], ["image"],
                                      ["pack", "--side", "1", "--target", "0.3"]],
@@ -944,11 +1022,6 @@ def test_name_flags_exit_cleanly(kw3_path, name, names, command):
         "pack": ["pack", kw3_path, "--side", "1", "--target", "0.3", "--members", names],
         "reap": ["reap", kw3_path, "A0", "--intersections", names, "--prefix", "3000"],
     }[command]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as e:  # argparse's own rejections
-            code = e.code
+    code, _, err = _run_main(argv)
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err

@@ -393,8 +393,10 @@ def race(call, threads=4):
 
 
 def test_classical_mask_is_thread_safe():
-    # pool threads grow a fresh set's classical prefix concurrently; a
-    # lost update drops a bit and changes every parity period above it
+    # counting forks processes, but a library caller may share a set
+    # between threads: four of them grow a fresh set's classical prefix
+    # concurrently, and a lost update drops a bit and changes every
+    # parity period above it
     expect = sum(1 << n for n in range(3000) if n % 3 != 0)
     for _ in range(20):
         bp = BlockParitySet(from_membership(lambda n: n % 3 != 0))
@@ -402,9 +404,10 @@ def test_classical_mask_is_thread_safe():
 
 
 def test_thin_set_shared_across_threads_stays_exact():
-    # the threads share the thin set's last-chunk tuple and running rank;
-    # each tuple depends on its chunk index only.  Three base members per
-    # chunk make the kept bits flip with the rank parity at every chunk.
+    # threads of one process (counting itself forks processes) share the
+    # thin set's last-chunk tuple and its one rank tuple; each tuple
+    # depends on its chunk index only.  Three base members per chunk make
+    # the kept bits flip with the rank parity at every chunk.
     for _ in range(5):
         t = thin(SetBase({"kind": "probe"}, chunk_fn=lambda ci: 0b111))
         assert race(lambda: t.sweep_prefix(64 * CHUNK_BITS)) == [96] * 4

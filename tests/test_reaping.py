@@ -9,6 +9,7 @@ from densfam import (
     WindowSchedule,
     atoms,
     bisect_check,
+    fixedpoint,
     from_elements,
     from_membership,
     intersect,
@@ -119,6 +120,18 @@ def test_thin_extension_enlarged_family_verifies(half_family):
     enlarged = half_family.extended("T", b, Fraction(1, 2))
     rep = verify_independence(enlarged, schedule=EIGHTS, tol=Fraction(1, 1000))
     assert rep.passed
+
+
+@pytest.mark.parametrize("c0", [1, 4, 8])
+def test_thin_extension_ranks_its_atoms_in_one_sweep(monkeypatch, c0):
+    # a fresh thin extension asked for chunk c0 first ranks all 8 atoms
+    # below it in one sweep, each of the 3 rotation leaves once per chunk,
+    # and then reads chunk c0 itself
+    calls = []
+    real = fixedpoint.orbit_chunk_mask
+    monkeypatch.setattr(fixedpoint, "orbit_chunk_mask", lambda *a: calls.append(a) or real(*a))
+    thin_extension(kw_family([2, 3, 5], ["0.3", "0.5", "0.7"])).chunk_mask(c0)
+    assert len(calls) == 3 * (c0 + 1)
 
 
 def test_thin_extension_descriptor(half_family):

@@ -409,7 +409,7 @@ def _expr_nodes(children):
         st.lists(children, min_size=1, max_size=3).map(lambda xs: ("intersect", *xs)),
         st.lists(children, min_size=1, max_size=3).map(lambda xs: ("union", *xs)),
         st.tuples(children, children).map(lambda xy: ("sym_diff", *xy)),
-        children.map(lambda x: ("thin", x)),
+        st.lists(children, min_size=1, max_size=3).map(lambda xs: ("thin", *xs)),
         st.tuples(children, st.integers(1, 4)).map(lambda xm: ("scale", *xm)),
     )
 
@@ -453,7 +453,7 @@ def test_expression_counts_match_pointwise_oracle(exprs, n_max, fractions, data)
     for workers in (1, 3):
         assert window_counts([build(e) for e in exprs], windows, workers) == expected
     # the second window starts past the first chunk, where a fresh thin
-    # must rank its base before its first chunk
+    # must rank its parts before its first chunk
     for lo in (0, CHUNK_BITS):
         start = data.draw(st.integers(lo, n_max - 1))
         stop = data.draw(st.integers(start, min(n_max, start + 2 * CHUNK_BITS)))
