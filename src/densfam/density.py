@@ -96,14 +96,21 @@ class WindowSchedule:
         """Same ratio, final window pinned to exactly n_max.
 
         The window count shrinks if n_max is too small to keep the
-        windows strictly increasing.
+        windows strictly increasing.  The windows of count c - 1 are the
+        last c - 1 of count c, so the largest count that works is found
+        by one walk down from n_max, which stops where two windows meet:
+        after about log_ratio(n_max) windows, whatever the count.
         """
-        for count in range(self.count, 2, -1):
-            try:
-                return WindowSchedule(self.start, self.ratio, count, end=n_max)
-            except ValueError:
-                continue
-        raise ValueError(f"cannot fit a 3-window schedule below {n_max}")
+        count, top, x = 1, n_max, Fraction(n_max)
+        while count < self.count:
+            x /= self.ratio
+            below = _ceil(x)
+            if below >= top:
+                break
+            count, top = count + 1, below
+        if count < 3:
+            raise ValueError(f"cannot fit a 3-window schedule below {n_max}")
+        return WindowSchedule(self.start, self.ratio, count, end=n_max)
 
 
 DEFAULT_SCHEDULE = WindowSchedule()

@@ -5,7 +5,7 @@ to n ~= 1e8, which is fatal for membership thresholds.  Everything here
 is integer arithmetic on 96 fractional bits: sqrt(r) is computed as
 isqrt(r << 192), and the orbit value (n * step) mod 2**96 is exact.
 
-Two kernels read the orbit without visiting indices one by one in
+Three kernels read the orbit without visiting indices one by one in
 Python:
 
 * ``orbit_chunk_mask`` evaluates blocks of B = 2**14 indices with
@@ -19,6 +19,16 @@ Python:
   one add and one compare; each index on an arc is decided by the exact
   ``orbit_value`` comparison, so every bit agrees with ``orbit_value``.
   Only np.uint64 operands enter the arithmetic.
+* ``orbit_chunk_continue`` derives a chunk from the one before it
+  (three-distance theorem: Sós 1958; Lothaire, *Algebraic Combinatorics
+  on Words*, ch. 2).  With d = v(q), v(n) = v(n - q) + d mod 2**96, so
+  bit(n) = bit(n - q) XOR flip(n), with flip(n) exactly when v(n) is in
+  [0, t) symmetric-difference [d, d + t).  If w = min(d, 2**96 - d) <=
+  min(t, 2**96 - t) those are two arcs, [s, s + w) and [t + s, t + s + w)
+  with s = 0 for d <= 2**95 and s = d otherwise.  For q the largest
+  convergent denominator of step / 2**96 in a chunk, w < 2**96 / q', q'
+  the next one, so a chunk has a few flips: found in the sorted table as
+  above, and each decided by the exact arc test.
 * ``orbit_count`` counts {i < n : orbit value < t} in closed form.  The
   orbit is a rational rotation with modulus 2**96, so the count is a
   difference of two ``floor_sum`` values (the Euclid-style sum of
@@ -168,10 +178,12 @@ _TOP = 1 << 64
 # Building a table costs about as much as one chunk, and a family has a
 # few radicands; the bound keeps arbitrary steps from piling up tables.
 @lru_cache(maxsize=8)
-def _step_table(s_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """T[i] = i * s_hi mod 2**64 for i < B, and a sorted copy of T."""
+def _step_table(s_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T[i] = i * s_hi mod 2**64 for i < B, a sorted copy of T, and the
+    permutation that sorts it."""
     table = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(s_hi)
-    return table, np.sort(table)
+    order = np.argsort(table)
+    return table, table[order], order
 
 
 def orbit_chunk_mask(step: int, thr_eff: int, start: int, length: int) -> int:
@@ -194,7 +206,7 @@ def orbit_chunk_mask(step: int, thr_eff: int, start: int, length: int) -> int:
     by the exact orbit_value comparison.  Every bit agrees with
     orbit_value.
     """
-    table, sorted_table = _step_table(step >> 32)
+    table, sorted_table, _ = _step_table(step >> 32)
     t_hi = thr_eff >> 32
     sure = np.uint64(max(t_hi - _BLOCK + 1, 0))
     tie_lo = (t_hi - _BLOCK + 1) % _TOP
@@ -219,6 +231,53 @@ def orbit_chunk_mask(step: int, thr_eff: int, start: int, length: int) -> int:
             for i in np.flatnonzero(on_arc).tolist():
                 hit[o + i] = orbit_value(step, start + o + i) < thr_eff
     return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
+
+
+def orbit_shift(step: int, thr_eff: int, length: int) -> tuple | None:
+    """(q, w, arc starts) for orbit_chunk_continue, q the largest
+    convergent denominator of step / 2**96 up to length, or None when
+    the two flip arcs would overlap."""
+    h, k, q0, q = MOD, step, 0, 1
+    while k:  # the continued fraction of step / 2**96
+        a, r = divmod(h, k)
+        if a * q + q0 > length:
+            break
+        h, k, q0, q = k, r, q, a * q + q0
+    d = orbit_value(step, q)
+    w = min(d, MOD - d)
+    if w > min(thr_eff, MOD - thr_eff):
+        return None
+    s = 0 if d == w else d
+    return q, w, (s, (thr_eff + s) & MASK)
+
+
+def orbit_chunk_continue(step: int, shift: tuple, start: int, length: int, prev: int) -> int:
+    """orbit_chunk_mask(step, thr_eff, start, length) from prev, the mask of
+    the length indices before start, and shift = orbit_shift(step, thr_eff,
+    length).  An index on arc [a, a + w) has a carry-free high limb on
+    [hi(a) - B + 1, hi(a) + hi(w) + 1]; the flips, XOR-ed onto prev's last
+    q bits, are extended with period q by shift-XOR doubling."""
+    q, w, arcs = shift
+    _, sorted_table, order = _step_table(step >> 32)
+    width = (w >> 32) + _BLOCK + 1
+    blocks = range(0, length, _BLOCK)
+    los = [((a >> 32) - _BLOCK + 1 - (orbit_value(step, start + o) >> 32)) % _TOP
+           for o in blocks for a in arcs]
+    ends = np.array(los + [(lo + width) % _TOP for lo in los], dtype=np.uint64)
+    p = np.searchsorted(sorted_table, ends).tolist()
+    flips = 0
+    for j, lo in enumerate(los):
+        p0, p1 = p[j], p[j + len(los)]
+        o, a = blocks[j // 2], arcs[j % 2]
+        found = order[p0:p1] if lo + width < _TOP else np.r_[order[p0:], order[:p1]]
+        for i in found.tolist():
+            if i < length - o and (orbit_value(step, start + o + i) - a) & MASK < w:
+                flips ^= 1 << (o + i)
+    bits = prev >> (length - q) ^ flips
+    while q < length:
+        bits ^= bits << q
+        q <<= 1
+    return bits & ((1 << length) - 1)
 
 
 def orbit_band_count(step: int, thr: int, start: int, length: int) -> int:

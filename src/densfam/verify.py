@@ -132,10 +132,6 @@ def _family_is_randomized(family: Family, names: Sequence[str]) -> bool:
     )
 
 
-# members whose count hint is a closed form, computed without any chunk
-_CLOSED_FORM_KINDS = ("kw", "block")
-
-
 def _check_count_identities(
     family: Family,
     chosen: tuple[str, ...],
@@ -145,9 +141,10 @@ def _check_count_identities(
 ) -> None:
     """Raise ValueError unless the swept atom counts add up exactly: to
     each window; over the atoms with a member's bit set, to that
-    member's closed-form count; and, for a thin extension of the other
-    members, as _check_thinned_halves says.  The atoms come from chunk
-    kernels, so a wrong chunk bit shows up here on any window it falls
+    member's count hint, for every member that has one; and, for a thin
+    extension of the other members, as _check_thinned_halves says.  The
+    atoms come from chunk kernels, and no hint reads the member's own
+    chunks, so a wrong chunk bit shows up here on any window it falls
     below."""
     for j, n in enumerate(windows):
         total = sum(counts[j] for counts in atom_counts)
@@ -160,15 +157,15 @@ def _check_count_identities(
         kind = s.descriptor.get("kind")
         if kind == "thin-ext" and sorted(s.descriptor["family"]) == sorted(set(chosen) - {name}):
             _check_thinned_halves(i, chosen, patterns, windows, atom_counts)
-        if kind not in _CLOSED_FORM_KINDS:
+        if s.count_hint is None:
             continue
         for j, n in enumerate(windows):
             swept = sum(c[j] for bits, c in zip(patterns, atom_counts) if bits[i])
-            closed = s.count_hint(n)
-            if swept != closed:
+            hinted = s.count_hint(n)
+            if swept != hinted:
                 raise ValueError(
                     f"count identity failed for member {name} at window {n}: "
-                    f"its atoms count {swept}, its closed form {closed}"
+                    f"its atoms count {swept}, its count hint {hinted}"
                 )
 
 

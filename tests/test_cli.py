@@ -17,7 +17,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from densfam import cli, constructors, fixedpoint, kw_set, reaping
+from densfam import cli, constructors, fixedpoint, kw_set, reaping, specfile
 from densfam.cli import main
 from densfam.sets import CHUNK_BITS, SetBase
 
@@ -466,12 +466,14 @@ def _count_calls(monkeypatch, module, name) -> list:
                          ids=["verify", "extend-thin"])
 def test_each_rotation_chunk_is_computed_once_per_op(tmp_path, monkeypatch, command):
     # one chunk-major sweep: every atom reads its three leaves' chunk
-    # from their one-chunk slots, so each leaf chunk is computed once
-    calls = _count_calls(monkeypatch, fixedpoint, "orbit_chunk_mask")
-    k = 3
-    assert main([command[0], write_spec(tmp_path, KW3), *command[1:],
-                 "--prefix", str(k * CHUNK_BITS), "--out", str(tmp_path / "r.json")]) == 0
-    assert len(calls) == 3 * k
+    # from their one-chunk slots, so each of the 16 chunks below 10**6 is
+    # computed once per leaf, chunk 0 by the direct kernel and every later
+    # one continued; a silent fall-back to the direct kernel fails here
+    direct = _count_calls(monkeypatch, fixedpoint, "orbit_chunk_mask")
+    continued = _count_calls(monkeypatch, fixedpoint, "orbit_chunk_continue")
+    assert main([command[0], write_spec(tmp_path, KW3), *command[1:], "--prefix", "1000000",
+                 "--workers", "1", "--out", str(tmp_path / "r.json")]) == 0
+    assert (len(direct), len(continued)) == (3, 3 * 15)
 
 
 @pytest.mark.parametrize("command", [["verify"], ["extend", "--mode", "thin", "--name", "T"]],
@@ -492,6 +494,58 @@ def test_one_bit_kernel_error_breaks_a_count_identity(tmp_path, capsys, monkeypa
     assert "Traceback" not in err
     assert "count identity failed for member A0 at window 20000" in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_one_bit_error_in_continued_chunks_breaks_a_count_identity(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a wrong continued bit is carried on into every later chunk
+    orig = fixedpoint.orbit_chunk_continue
+    monkeypatch.setattr(fixedpoint, "orbit_chunk_continue",
+                        lambda *args: orig(*args) ^ (1 << 12_345))
+    code = main(["verify", write_spec(tmp_path, KW3), "--prefix", "1000000",
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert "count identity failed for member A0 at window 250000" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_one_bit_error_in_a_hinted_expr_member_breaks_its_count_identity(tmp_path, capsys,
+                                                                         monkeypatch):
+    # S is the complement of a rotation set, spelled as an expr entry; its
+    # hint n - |A1 ∩ [0, n)| must catch a wrong bit in S's own chunks.
+    # Only the spec's complement is patched, not the atom tree's.
+    real = specfile.complement
+
+    def flipped(s):
+        c = real(s)
+        return SetBase(c.descriptor, chunk_fn=lambda ci: c.chunk_mask(ci) ^ (1 << 12_345),
+                       count_hint=c.count_hint)
+
+    monkeypatch.setattr(specfile, "complement", flipped)
+    doc = {**KW3, "family": KW3["family"] + [
+        {"name": "S", "kind": "expr", "density": "0.5",
+         "expr": {"op": "complement", "args": [{"ref": "A1"}]}}]}
+    code = main(["verify", write_spec(tmp_path, doc), "A0", "S", "--prefix", "1000000",
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    # the bit is wrong in 4 chunks below 250000, two set and two cleared
+    assert ("count identity failed for member S at window 500000: "
+            "its atoms count 249998, its count hint 250000") in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_prefix_far_below_a_long_schedule_returns_at_once(tmp_path):
+    # retarget finds the largest window count that fits without trying
+    # each of the 3000 counts in turn
+    t0 = time.perf_counter()
+    code = main(["construct", write_spec(tmp_path, KW3), "--schedule", "1000,2,3000",
+                 "--prefix", "5000", "--out", str(tmp_path / "r.json")])
+    assert time.perf_counter() - t0 < 1
+    assert code in (0, 2)
 
 
 def test_thin_parity_error_breaks_the_thinning_identity(tmp_path, capsys, monkeypatch):

@@ -166,6 +166,30 @@ def test_kw_chunk_agrees_with_member():
         assert s.member(n) == bool(walk >> n & 1)
 
 
+@pytest.mark.parametrize("first", [1, 5, 1 << 20])
+def test_kw_sweep_from_a_chunk_whose_predecessor_was_never_computed(monkeypatch, first):
+    # the first chunk of a sweep, as at the start of a worker's range,
+    # comes from the direct kernel, each later one is continued, and all
+    # of them match the walk
+    calls = {"orbit_chunk_mask": [], "orbit_chunk_continue": []}
+    for name, seen in calls.items():
+        real = getattr(fx, name)
+        monkeypatch.setattr(fx, name, lambda *a, r=real, s=seen: s.append(a[2]) or r(*a))
+    s = kw_set(7, Fraction(5, 11))
+    for ci in range(first, first + 3):
+        assert s.chunk_mask(ci) == oracles.orbit_walk_mask(s._step, s._thr_eff,
+                                                           ci * CHUNK_BITS, CHUNK_BITS)
+    starts = [first * CHUNK_BITS, (first + 1) * CHUNK_BITS, (first + 2) * CHUNK_BITS]
+    assert calls == {"orbit_chunk_mask": starts[:1], "orbit_chunk_continue": starts[1:]}
+
+
+def test_kw_chunk_0_is_not_continued_from_the_empty_slot(monkeypatch):
+    # the slot starts as (-1, 0), which must not pass for a chunk -1
+    monkeypatch.setattr(fx, "orbit_chunk_continue", None)
+    s = kw_set(2, Fraction(1, 2))
+    assert s.chunk_mask(0) == oracles.orbit_walk_mask(s._step, s._thr_eff, 0, CHUNK_BITS)
+
+
 def test_kw_band_bound_formula():
     assert KWSet.band_bound(10**6) == Fraction(2 * 10**6, 1 << 40) + 1
 

@@ -84,6 +84,35 @@ def test_retarget_always_lands_on_target(n):
     assert WindowSchedule().retarget(n).windows()[-1] == n
 
 
+def _retarget_by_trying_every_count(sched, n):
+    # the definition: the largest count, from the schedule's own down to
+    # 3, whose windows ending at n increase strictly
+    for count in range(sched.count, 2, -1):
+        try:
+            return WindowSchedule(sched.start, sched.ratio, count, end=n)
+        except ValueError:
+            continue
+    return None
+
+
+@given(st.fractions(Fraction(101, 100), 4), st.integers(3, 30),
+       st.one_of(st.integers(0, 200), st.integers(0, 10**7)))
+@settings(max_examples=200)
+def test_retarget_keeps_the_largest_count_that_increases(ratio, count, n):
+    sched = WindowSchedule(10**6, ratio, count)
+    want = _retarget_by_trying_every_count(sched, n)
+    if want is None:
+        with pytest.raises(ValueError, match="cannot fit a 3-window schedule"):
+            sched.retarget(n)
+    else:
+        assert sched.retarget(n) == want
+
+
+def test_retarget_of_a_long_schedule_to_a_small_prefix_is_immediate():
+    # 3000 windows cannot increase below 5000 at ratio 2; only 14 can
+    assert WindowSchedule(1000, 2, 3000).retarget(5000).count == 14
+
+
 def test_fractional_ratio():
     ws = WindowSchedule(start=1000, ratio=Fraction(3, 2), count=4).windows()
     assert ws == (1000, 1500, 2250, 3375)

@@ -129,6 +129,104 @@ def test_chunk_kernel_empty_range():
     assert fx.orbit_chunk_mask(fx.frac_step(2), fx.MOD // 2, 123, 0) == 0
 
 
+# -- continued chunks -----------------------------------------------------------
+
+
+def _continued(step, thr_eff, ci):
+    """Chunk ci continued from the direct kernel's chunk ci - 1, and the
+    direct kernel's chunk ci itself."""
+    shift = fx.orbit_shift(step, thr_eff, CHUNK_BITS)
+    assert shift is not None
+    prev = fx.orbit_chunk_mask(step, thr_eff, (ci - 1) * CHUNK_BITS, CHUNK_BITS)
+    return (fx.orbit_chunk_continue(step, shift, ci * CHUNK_BITS, CHUNK_BITS, prev),
+            fx.orbit_chunk_mask(step, thr_eff, ci * CHUNK_BITS, CHUNK_BITS))
+
+
+@given(st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 14, 15]), st.integers(1, 999),
+       st.integers(1, 1 << 24))
+@settings(max_examples=60, deadline=None)
+def test_continued_chunk_matches_direct_kernel(r, k, ci):
+    s = KWSet(r, Fraction(k, 1000))
+    got, want = _continued(s._step, s._thr_eff, ci)
+    assert got == want
+
+
+def test_shift_is_the_largest_convergent_in_a_chunk():
+    # frac(sqrt 2) = [0; 2, 2, 2, ...]: denominators 1, 2, 5, 12, ..., 33461, 80782
+    q, w, (a0, a1) = fx.orbit_shift(fx.frac_step(2), fx.MOD // 2, CHUNK_BITS)
+    assert q == 33461
+    assert w == min(fx.orbit_value(fx.frac_step(2), q), fx.MOD - fx.orbit_value(fx.frac_step(2), q))
+    assert w < fx.MOD // 80782 and a1 == (a0 + fx.MOD // 2) % fx.MOD
+
+
+def test_shift_refuses_overlapping_arcs():
+    # a threshold within w of 0 or 1 would make the two flip arcs overlap
+    step = fx.frac_step(2)
+    _, w, _ = fx.orbit_shift(step, fx.MOD // 2, CHUNK_BITS)
+    assert fx.orbit_shift(step, w, CHUNK_BITS) is not None
+    assert fx.orbit_shift(step, w - 1, CHUNK_BITS) is None
+    assert fx.orbit_shift(step, fx.MOD - w, CHUNK_BITS) is not None
+    assert fx.orbit_shift(step, fx.MOD - w + 1, CHUNK_BITS) is None
+    # such a rotation set takes the direct kernel for every chunk
+    s = KWSet(2, Fraction(1, 10**6))
+    assert s._shift is None
+    for ci in (0, 1):
+        assert s.chunk_mask(ci) == oracles.orbit_walk_mask(step, s._thr_eff, ci * CHUNK_BITS,
+                                                           CHUNK_BITS)
+
+
+def _d(step):
+    q, _, _ = fx.orbit_shift(step, fx.MOD // 3, CHUNK_BITS)
+    return q, fx.orbit_value(step, q)
+
+
+def _on_zero_arc_end(sign, at_d, delta):
+    """(step, index n past chunk 0) with v(n) = delta, or d + delta when
+    at_d, where d = v(q) is below 2**95 for sign +1 and above it for -1.
+    The zero arc is [0, d) for positive d and [d, 2**96) for negative d,
+    so these are its two ends, nudged by delta."""
+    for j in range(1, 1000, 2):
+        if delta:  # v(m) = delta for an odd m, so the step is delta / m
+            m = CHUNK_BITS + j
+            step = delta * pow(m, -1, fx.MOD) % fx.MOD
+        else:  # v(2**17) = 0 for a rotation by j / 2**17
+            m, step = 1 << 17, j << 79
+        q, d = _d(step)
+        if (d < fx.MOD // 2) == (sign > 0):
+            n = m + q if at_d else m
+            assert fx.orbit_value(step, n) == (d * at_d + delta) % fx.MOD
+            return step, n
+    raise AssertionError("no step found")
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("at_d", [False, True], ids=["at-0", "at-d"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["d-positive", "d-negative"])
+def test_continued_chunk_at_the_ends_of_the_zero_arc(sign, at_d, delta):
+    step, n = _on_zero_arc_end(sign, at_d, delta)
+    got, want = _continued(step, fx.MOD // 3, n // CHUNK_BITS)
+    assert got == want
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("at_end", [False, True], ids=["at-start", "at-end"])
+@pytest.mark.parametrize("r", [2, 3, 5, 7])
+def test_continued_chunk_at_the_ends_of_the_threshold_arc(r, at_end, delta):
+    # the threshold arc [t + s, t + s + w) is placed by t: put an index's
+    # orbit value at either end, nudged by delta
+    step = fx.frac_step(r)
+    q, w, (s, _) = fx.orbit_shift(step, fx.MOD // 3, CHUNK_BITS)
+    n = 5 * CHUNK_BITS + 12_345
+    thr_eff = (fx.orbit_value(step, n) - s - w * at_end - delta) % fx.MOD
+    got, want = _continued(step, thr_eff, 5)
+    assert got == want
+
+
+def test_threshold_arc_cases_cover_both_signs_of_d():
+    signs = {_d(fx.frac_step(r))[1] < fx.MOD // 2 for r in (2, 3, 5, 7)}
+    assert signs == {True, False}
+
+
 # -- closed-form counts -------------------------------------------------------
 
 

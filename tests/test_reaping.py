@@ -126,12 +126,13 @@ def test_thin_extension_enlarged_family_verifies(half_family):
 def test_thin_extension_ranks_its_atoms_in_one_sweep(monkeypatch, c0):
     # a fresh thin extension asked for chunk c0 first ranks all 8 atoms
     # below it in one sweep, each of the 3 rotation leaves once per chunk,
-    # and then reads chunk c0 itself
-    calls = []
-    real = fixedpoint.orbit_chunk_mask
-    monkeypatch.setattr(fixedpoint, "orbit_chunk_mask", lambda *a: calls.append(a) or real(*a))
+    # and then reads chunk c0 itself; only chunk 0 takes the direct kernel
+    calls = {"orbit_chunk_mask": [], "orbit_chunk_continue": []}
+    for name, seen in calls.items():
+        real = getattr(fixedpoint, name)
+        monkeypatch.setattr(fixedpoint, name, lambda *a, r=real, s=seen: s.append(a) or r(*a))
     thin_extension(kw_family([2, 3, 5], ["0.3", "0.5", "0.7"])).chunk_mask(c0)
-    assert len(calls) == 3 * (c0 + 1)
+    assert [len(seen) for seen in calls.values()] == [3, 3 * c0]
 
 
 def test_thin_extension_descriptor(half_family):

@@ -379,6 +379,26 @@ def test_thin_full_chunk_matches_oracle(name, below):
         assert mask_to_bits(t.chunk_mask(1), CHUNK_BITS).tolist() == want
 
 
+@pytest.mark.parametrize("odd", [0, 1])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_thin_of_k_parts_matches_oracle(k, odd):
+    # part i has i + odd members below the second chunk, so its rank
+    # there is even or odd by i; in the chunk it has a few hundred
+    # members, the chunk's first and last index among them for some parts
+    rng = np.random.default_rng(k + 10 * odd)
+    parts = []
+    for i in range(k):
+        inside = rng.choice(CHUNK_BITS, 300 + 40 * i, replace=False).tolist()
+        edges = [0, CHUNK_BITS - 1][: i % 3]
+        parts.append(frozenset(range(0, 2 * (i + odd), 2))
+                     | {CHUNK_BITS + x for x in inside + edges})
+    want = oracles.expr_members(("thin", *(("elements", p) for p in parts)), 2 * CHUNK_BITS)
+    fresh, swept = (thin(*(from_elements(p) for p in parts)) for _ in range(2))
+    swept.chunk_mask(0)
+    for t in (fresh, swept):
+        assert mask_to_bits(t.chunk_mask(1), CHUNK_BITS).tolist() == want[CHUNK_BITS:]
+
+
 @pytest.mark.parametrize("factor", [5, 7, 65_537])
 @pytest.mark.parametrize("ci", [1, 3])  # chunk starts 65,536 and 196,608
 def test_scale_chunk_off_progression_matches_oracle(factor, ci):

@@ -211,7 +211,7 @@ def test_verify_raises_when_a_block_chunk_breaks_its_closed_form(monkeypatch):
                         lambda self, ci: kernel(self, ci) ^ (1 << 100))
     sched = WindowSchedule(start=2000, ratio=Fraction(2), count=3)
     with pytest.raises(ValueError, match=r"member B0 at window 2000: its atoms count \d+, "
-                                         r"its closed form \d+"):
+                                         r"its count hint \d+"):
         verify_independence(fam, schedule=sched)
 
 
