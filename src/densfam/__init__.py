@@ -10,8 +10,6 @@ from .constructors import (
     PackResult,
     alignment_block,
     atom_density,
-    block_bounds,
-    block_of,
     block_transform,
     coded_independent_set,
     f2_rank,
@@ -20,7 +18,6 @@ from .constructors import (
     kw_family,
     kw_set,
     random_extension,
-    square_free_radicands,
 )
 from .density import (
     DEFAULT_SCHEDULE,
@@ -29,9 +26,6 @@ from .density import (
     as_fraction,
     default_tolerance,
     estimate_density,
-    relative_density,
-    rho_estimate,
-    upper_density_estimate,
 )
 from .reaping import (
     BisectReport,
@@ -45,12 +39,10 @@ from .sets import (
     SetBase,
     SetExpr,
     complement,
-    empty_set,
     from_elements,
     from_membership,
     intersect,
     omega,
-    prefix_density,
     scale,
     sym_diff,
     thin,
@@ -66,7 +58,6 @@ from .verify import (
     VerificationReport,
     atoms,
     field_elements,
-    field_image,
     field_values,
     image_density_scan,
     verify_independence,

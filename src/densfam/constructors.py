@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count, islice, product
-from math import factorial, inf
+from itertools import accumulate, count, product
+from math import factorial
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -201,10 +201,12 @@ _CODED_MAX_DEPTH = 5
 
 
 def coded_independent_set(
-    sigma: Union[Sequence[int], Callable[[int], int]],
+    sigma: Sequence[int],
     depth_limit: int = 4,
 ) -> SetBase:
-    """Classical independent set coded by a binary parameter string.
+    """Classical independent set coded by a binary parameter string:
+    sigma is its bits, as 0/1 integers or a string of 0/1 digits, and
+    bits past its end are 0.
 
     Index space is a concatenation of blocks; block n enumerates all
     subsets of the length-n binary strings, one index per subset, the
@@ -219,13 +221,10 @@ def coded_independent_set(
     """
     if not 0 <= depth_limit <= _CODED_MAX_DEPTH:
         raise ValueError(f"depth_limit must be in [0, {_CODED_MAX_DEPTH}]")
-    if callable(sigma):
-        bits = tuple(int(bool(sigma(i))) for i in range(depth_limit))
-    else:
-        seq = [int(b) for b in sigma]
-        if any(b not in (0, 1) for b in seq):
-            raise ValueError("parameter bits must be 0 or 1")
-        bits = tuple((seq[i] if i < len(seq) else 0) for i in range(depth_limit))
+    seq = [int(b) for b in sigma]
+    if any(b not in (0, 1) for b in seq):
+        raise ValueError("parameter bits must be 0 or 1")
+    bits = tuple((seq[i] if i < len(seq) else 0) for i in range(depth_limit))
 
     # block n is [starts[n], starts[n + 1]), of 2**(2**n) indices
     starts = list(accumulate((1 << (1 << n) for n in range(depth_limit + 1)), initial=0))
@@ -257,11 +256,11 @@ def coded_independent_set(
 # -- factorial-block parity transform ----------------------------------
 
 
-def _blocks(lo: int, hi: float) -> Iterator[tuple[int, int, int]]:
+def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
     """(m, start, end) of each factorial block that meets [lo, hi).
 
     Block 0 starts at index 0, block m has 2**m * (m+1)! indices, and
-    each block starts where the one before it ends.  hi may be math.inf.
+    each block starts where the one before it ends.
     """
     m = start = 0
     while start < hi:
@@ -269,19 +268,6 @@ def _blocks(lo: int, hi: float) -> Iterator[tuple[int, int, int]]:
         if end > lo:
             yield m, start, end
         m, start = m + 1, end
-
-
-def block_bounds(m: int) -> tuple[int, int]:
-    """[start, end) index range of factorial block m."""
-    _, start, end = next(islice(_blocks(0, inf), m, None))
-    return start, end
-
-
-def block_of(n: int) -> int:
-    """The block index m with n inside block m."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return next(_blocks(n, n + 1))[0]
 
 
 class BlockParitySet(SetBase):
@@ -506,11 +492,6 @@ def random_extension(
 
 
 # -- near-1 threshold chains (density gap families) ---------------------
-
-
-def square_free_radicands(k: int) -> tuple[int, ...]:
-    """The first k square-free integers >= 2."""
-    return tuple(islice(filter(fx.is_square_free, count(2)), k))
 
 
 def gap_family(

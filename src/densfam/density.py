@@ -7,8 +7,9 @@ over the final three windows.  "Converged" here means the oscillation
 fell below the tolerance on this schedule.  That is a finite heuristic:
 a set can oscillate at scales beyond the largest window, so a converged
 status is evidence, not proof, and reports always carry the schedule.
-The estimates count in the calling process; to split a sweep across
-processes, call ``window_counts`` with a worker count.
+``estimate_density`` counts one set in the calling process; to count
+many sets in one sweep, or to split it across processes, call
+``window_counts``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 from math import isqrt
 from typing import Optional, Sequence, Union
 
-from .sets import SetBase, intersect, sym_diff, window_counts
+from .sets import SetBase, window_counts
 
 Rational = Union[Fraction, int, str, float]
 
@@ -189,32 +190,3 @@ def estimate_density(
     """Estimate the density of S over the schedule (see DensityEstimate.of)."""
     windows = schedule.windows()
     return DensityEstimate.of(windows, window_counts([s], windows)[0], tol)
-
-
-def upper_density_estimate(s: SetBase, schedule: WindowSchedule = DEFAULT_SCHEDULE) -> Fraction:
-    """Maximum window density over the schedule tail.
-
-    A finite surrogate for the limsup density: it can only see
-    oscillation at the scales the tail windows sample.
-    """
-    tail = schedule.windows()[-TAIL_WINDOWS:]
-    counts = window_counts([s], tail)[0]
-    return max(Fraction(c, n) for c, n in zip(counts, tail))
-
-
-def rho_estimate(x: SetBase, y: SetBase, schedule: WindowSchedule = DEFAULT_SCHEDULE) -> Fraction:
-    """Finite-window estimate of the symmetric-difference pseudometric:
-    the upper-density estimate of X Δ Y."""
-    return upper_density_estimate(sym_diff(x, y), schedule)
-
-
-def relative_density(s: SetBase, b: SetBase, n: int) -> Fraction:
-    """Exact |S ∩ B ∩ [0,n)| / |B ∩ [0,n)|.
-
-    Raises ZeroDivisionError with a clear message when B has no members
-    below n.
-    """
-    (denom,), (num,) = window_counts([b, intersect(s, b)], (n,))
-    if denom == 0:
-        raise ZeroDivisionError(f"relative density undefined: no members below {n}")
-    return Fraction(num, denom)

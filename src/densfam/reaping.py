@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .constructors import Family
 from .density import (
@@ -49,28 +49,15 @@ class BisectReport:
     passed: bool
 
 
-def _named_sets(r: Union[Family, Sequence]) -> list[tuple[str, SetBase]]:
-    """(name, set) pairs of a family, or of a sequence of sets and
-    (name, set) tuples, where a bare set at position i is named R<i>."""
-    if isinstance(r, Family):
-        return [(n, s) for n, s, _ in r.items()]
-    out = []
-    for i, entry in enumerate(r):
-        if isinstance(entry, tuple):
-            out.append((str(entry[0]), entry[1]))
-        else:
-            out.append((f"R{i}", entry))
-    return out
-
-
 def bisect_check(
     s: SetBase,
-    targets: Union[Family, Sequence],
+    targets: Sequence[tuple[str, SetBase]],
     schedule: WindowSchedule = DEFAULT_SCHEDULE,
     tol: Rational = DEFAULT_TOL,
     workers: int = 1,
 ) -> BisectReport:
-    """Check that S bisects every target set on the schedule.
+    """Check that S bisects every target set, given as (name, set)
+    pairs, on the schedule.
 
     Each target must have at least one member below the first window.
     A target passes when its final within-target ratio is within tol of
@@ -78,15 +65,14 @@ def bisect_check(
     """
     tol_f = as_fraction(tol)
     windows = schedule.windows()
-    named = _named_sets(targets)
-    if not named:
+    if not targets:
         raise ValueError("need at least one target set")
-    members = [b for _, b in named]
+    members = [b for _, b in targets]
     counts = window_counts(members + [intersect(s, b) for b in members], windows, workers)
     half = Fraction(1, 2)
     reports = []
     all_pass = True
-    for (name, _), member_counts, joint_counts in zip(named, counts, counts[len(named):]):
+    for (name, _), member_counts, joint_counts in zip(targets, counts, counts[len(targets):]):
         if member_counts[0] == 0:
             raise ValueError(
                 f"target {name!r} has no members below the first window {windows[0]}"

@@ -6,29 +6,29 @@ is membership over an aligned 65536-index range, as a Python integer
 bitmask, combined with other sets' chunks by cheap bitwise operations,
 and ``member`` reads one bit of a chunk.  Rotation, block-parity and
 boolean-combination sets subclass ``SetBase`` to supply their own
-kernel.  All counts are exact integers; densities derived from them are
-exact ``Fraction`` values.
+kernel.  All counts are exact integers.
 
-``window_counts`` counts many sets in one chunk-major sweep, so a leaf
-shared by many expressions is computed once per chunk, and each set
-keeps only the last chunk it computed: memory is flat in the window
-size.  It is the one way into parallel counting: its ``workers``
+``window_counts`` is the one way to count: it gives |S ∩ [0, n)| for
+many sets and windows in one chunk-major sweep, so a leaf shared by many
+expressions is computed once per chunk, and each set keeps only the last
+chunk it computed: memory is flat in the window size.  Its ``workers``
 argument splits the chunk range into contiguous parts counted in forked
 worker processes and summed, so results are identical for any worker
-count.  The one-set helpers sweep in the calling process.  A thinning
-is one set however many parts it thins, with one rank over all of
-them, so a worker ranks every part below its range in one shared sweep.
+count; ``prefix_count`` and ``sweep_prefix`` are its one-set, one-window
+forms.  A thinning is one set however many parts it thins, so a worker
+finds every part's parity below its range in one shared sweep.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 CHUNK_BITS = 1 << 16
 _FULL_CHUNK = (1 << CHUNK_BITS) - 1
+# chunk indices whose starting parities a thinning keeps
+_THIN_PARITIES = 4
 
 
 def bits_to_mask(bits: np.ndarray) -> int:
@@ -71,9 +71,9 @@ class SetBase:
         self._count_hint = count_hint
         # (ci, mask) of the last chunk computed.  Each window_counts worker
         # is a forked process with its own copy of the set, so this slot,
-        # like a thinning's rank, is read and replaced only by that
+        # like a thinning's parities, is read and replaced only by that
         # process's sweeps: its range's, and the one a thinning runs below
-        # its first chunk to rank all its parts.
+        # its first chunk to count all its parts.
         self._chunk: tuple[int, int] = (-1, 0)
 
     # -- membership ---------------------------------------------------
@@ -134,13 +134,6 @@ class SetBase:
         """Exact number of members below n: the count hint when present,
         else a sweep in the calling process."""
         return window_counts([self], (n,))[0][0]
-
-    def count_range(self, start: int, stop: int) -> int:
-        """Exact number of members in [start, stop), counted as prefix_count."""
-        if stop <= start:
-            return 0
-        below_start, below_stop = window_counts([self], (start, stop))[0]
-        return below_stop - below_start
 
 
 def window_counts(
@@ -254,10 +247,6 @@ def omega() -> SetBase:
     return SetBase({"kind": "omega"}, chunk_fn=lambda ci: _FULL_CHUNK, count_hint=lambda n: n)
 
 
-def empty_set() -> SetBase:
-    return SetBase({"kind": "empty"}, chunk_fn=lambda ci: 0, count_hint=lambda n: 0)
-
-
 def from_elements(elements: Iterable[int]) -> SetBase:
     """Finite explicit set; useful as a leaf in tests and expressions."""
     elems = sorted(set(int(e) for e in elements))
@@ -355,33 +344,39 @@ def thin(*parts: SetBase) -> SetBase:
     With P the chunk's inclusive prefix parity of S (bit i set when S has
     an odd number of members in [0, i] of the chunk), S keeps S & P after
     an even count of S and S & ~P after an odd one, for all parts in one
-    numpy pass.  The set keeps one rank, the next chunk index and every
-    part's count below it, so a forward sweep gets each chunk's starting
-    ranks for free; any other chunk, such as the first of a worker's
+    numpy pass.  A chunk needs only each part's count parity below it, and
+    leaves the parity below the next chunk, so the set keeps these for the
+    last few chunk indices it reached: a forward sweep, and a second
+    reader such as a scale that trails it, gets each chunk's starting
+    parities for free.  Any other chunk, such as the first of a worker's
     range, takes them from one window_counts sweep of all parts.
     """
     s, *more = parts
     hint = None if more else lambda n: (s.prefix_count(n) + 1) // 2
-    rank = (0, (0,) * len(parts))  # (next chunk, counts below it), replaced whole
+    # chunk index -> column of each part's count parity below it, the
+    # most recently reached last
+    odds: dict[int, np.ndarray] = {}
 
     def chunk(ci: int) -> int:
-        nonlocal rank
-        at, below = rank
-        if at != ci:
-            below = tuple(c for (c,) in window_counts(parts, (ci * CHUNK_BITS,)))
-        bases = [p.chunk_mask(ci) for p in parts]
-        rank = (ci + 1, tuple(c + m.bit_count() for c, m in zip(below, bases)))
+        odd = odds.pop(ci, None)
+        if odd is None:
+            below = window_counts(parts, (ci * CHUNK_BITS,))
+            odd = np.array([c & 1 for (c,) in below], dtype=np.uint64)[:, None]
         # rows of 64-bit words: each word's inclusive prefix parity by six
         # shift-XORs, carried across words by the exclusive XOR-accumulate
-        # of their top bits and by the part's count below
-        words = np.frombuffer(b"".join(m.to_bytes(CHUNK_BITS // 8, "little") for m in bases),
-                              dtype="<u8").reshape(len(parts), -1)
+        # of their top bits and by the part's parity below
+        words = np.frombuffer(b"".join(p.chunk_mask(ci).to_bytes(CHUNK_BITS // 8, "little")
+                                       for p in parts), dtype="<u8").reshape(len(parts), -1)
         parity = words ^ (words << np.uint64(1))
         for k in (2, 4, 8, 16, 32):
             parity ^= parity << np.uint64(k)
         top = parity >> np.uint64(63)
-        odd = np.array([c & 1 for c in below], dtype=np.uint64)[:, None]
         parity ^= np.uint64(0) - (np.bitwise_xor.accumulate(top, axis=1) ^ top ^ odd)
+        odds[ci] = odd
+        odds.pop(ci + 1, None)
+        odds[ci + 1] = parity[:, -1:] >> np.uint64(63)
+        while len(odds) > _THIN_PARITIES:
+            del odds[next(iter(odds))]
         return int.from_bytes(np.bitwise_or.reduce(words & parity, axis=0).tobytes(), "little")
 
     of = [p.descriptor for p in parts] if more else s.descriptor
@@ -398,13 +393,3 @@ def union(*sets: SetBase) -> SetExpr:
 
 def sym_diff(x: SetBase, y: SetBase) -> SetExpr:
     return SetExpr("sym_diff", (x, y))
-
-
-# -- module-level counting helpers -----------------------------------
-
-
-def prefix_density(s: SetBase, n: int) -> Fraction:
-    """Exact |S ∩ [0,n)| / n as a Fraction."""
-    if n <= 0:
-        raise ValueError("density needs a positive prefix length")
-    return Fraction(s.prefix_count(n), n)

@@ -119,12 +119,6 @@ class VerificationReport:
     band_diagnostics: tuple[BandDiagnostic, ...]
     passed: bool
 
-    def atom_by_bits(self, bits: Sequence[int]) -> AtomReport:
-        for a in self.atoms:
-            if a.pattern.bits == tuple(bits):
-                return a
-        raise KeyError(f"no atom with bits {bits}")
-
 
 def _family_is_randomized(family: Family, names: Sequence[str]) -> bool:
     return any(
@@ -356,12 +350,6 @@ def field_values(family: Family, names: Optional[Sequence[str]] = None) -> Field
     """The distinct expected densities over the field generated by at
     most MAX_FIELD_MEMBERS members, with their multiplicities."""
     return _field_values(family, _resolve_names(family, names, MAX_FIELD_MEMBERS), 1 << 20)
-
-
-def field_image(family: Family, names: Optional[Sequence[str]] = None) -> tuple[Fraction, ...]:
-    """The multiset of expected densities over the generated field,
-    sorted ascending (duplicates kept)."""
-    return tuple(sorted(e.expected for e in field_elements(family, names)))
 
 
 # -- grid coverage of the field image -----------------------------------

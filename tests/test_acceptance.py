@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import densfam.fixedpoint as fx
 import oracles
 from densfam import (
     ExtensionParams,
@@ -16,7 +17,6 @@ from densfam import (
     alignment_block,
     atoms,
     bisect_check,
-    block_bounds,
     block_transform,
     coded_independent_set,
     estimate_density,
@@ -31,6 +31,7 @@ from densfam import (
     verify_independence,
     window_counts,
 )
+from densfam.constructors import _blocks
 from densfam.reports import canonical_json, verification_json
 
 TOL = Fraction(5, 1000)
@@ -72,14 +73,15 @@ def test_acceptance_2_block_alignment_exact_shares():
     ok = m0 == 8
     checked = 0
     if ok:
+        bounds = {m: (lo, hi) for m, lo, hi in _blocks(0, fx.INDEX_LIMIT)}
         for m in range(m0, 9):
-            start, end = block_bounds(m)
+            start, end = bounds[m]
             share, rem = divmod(end - start, 8)
             if rem:
                 ok = False
                 break
-            for a in atoms(fam.sets):
-                got = a.count_range(start, end)
+            for below_start, below_end in window_counts(atoms(fam.sets), (start, end)):
+                got = below_end - below_start
                 checked += 1
                 if got != share:
                     ok = False
@@ -119,7 +121,7 @@ def test_acceptance_4_biased_extension_pinned_seed(sched_full):
     )
     est_b = estimate_density(b, sched_full, TOL)
     dev_b = abs(est_b.value - Fraction(1, 2))
-    joint = intersect(b, a_set).count_range(0, N_FULL)
+    ((joint,),) = window_counts([intersect(b, a_set)], (N_FULL,))
     dev_joint = abs(Fraction(joint, N_FULL) - Fraction(3, 8))
     wit = nonindependence_witness(b, a_set, Fraction(1, 2), Fraction(1, 2),
                                   sched_full)

@@ -513,29 +513,39 @@ def test_one_bit_error_in_continued_chunks_breaks_a_count_identity(tmp_path, cap
 
 def test_one_bit_error_in_a_hinted_expr_member_breaks_its_count_identity(tmp_path, capsys,
                                                                          monkeypatch):
-    # S is the complement of a rotation set, spelled as an expr entry; its
-    # hint n - |A1 ∩ [0, n)| must catch a wrong bit in S's own chunks.
-    # Only the spec's complement is patched, not the atom tree's.
-    real = specfile.complement
+    # S is an expr entry over a rotation set: its complement, or its
+    # scale by 2.  S's hint, n - |A1 ∩ [0, n)| or |A1 ∩ [0, ceil(n/2))|,
+    # must catch a wrong bit in S's own chunks.  Only the spec's operator
+    # is patched, not the atom tree's.
+    cases = [
+        # the bit is wrong in 4 chunks below 250000, two set and two cleared
+        ("complement", {"op": "complement", "args": [{"ref": "A1"}]}, "0.5",
+         "at window 500000: its atoms count 249998, its count hint 250000"),
+        # bit 12345 is odd, so never in S: the 4 chunks below 250000 gain it
+        ("scale", {"op": "scale", "factor": 2, "args": [{"ref": "A1"}]}, "0.25",
+         "at window 250000: its atoms count {wrong}, its count hint {hint}"),
+    ]
+    for op, expr, density, message in cases:
+        real = getattr(specfile, op)
 
-    def flipped(s):
-        c = real(s)
-        return SetBase(c.descriptor, chunk_fn=lambda ci: c.chunk_mask(ci) ^ (1 << 12_345),
-                       count_hint=c.count_hint)
+        def flipped(*args, real=real):
+            c = real(*args)
+            return SetBase(c.descriptor, chunk_fn=lambda ci: c.chunk_mask(ci) ^ (1 << 12_345),
+                           count_hint=c.count_hint)
 
-    monkeypatch.setattr(specfile, "complement", flipped)
-    doc = {**KW3, "family": KW3["family"] + [
-        {"name": "S", "kind": "expr", "density": "0.5",
-         "expr": {"op": "complement", "args": [{"ref": "A1"}]}}]}
-    code = main(["verify", write_spec(tmp_path, doc), "A0", "S", "--prefix", "1000000",
-                 "--out", str(tmp_path / "r.json")])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "Traceback" not in err
-    # the bit is wrong in 4 chunks below 250000, two set and two cleared
-    assert ("count identity failed for member S at window 500000: "
-            "its atoms count 249998, its count hint 250000") in err
-    assert not (tmp_path / "r.json").exists()
+        monkeypatch.setattr(specfile, op, flipped)
+        doc = {**KW3, "family": KW3["family"] + [
+            {"name": "S", "kind": "expr", "density": density, "expr": expr}]}
+        code = main(["verify", write_spec(tmp_path, doc), "A0", "S", "--prefix", "1000000",
+                     "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 3, op
+        assert "Traceback" not in err
+        hint = kw_set(3, "0.5").prefix_count(125_000)
+        assert f"count identity failed for member S {message}".format(
+            wrong=hint + 4, hint=hint) in err, err
+        assert not (tmp_path / "r.json").exists()
+        monkeypatch.undo()
 
 
 def test_prefix_far_below_a_long_schedule_returns_at_once(tmp_path):

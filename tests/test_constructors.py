@@ -22,8 +22,6 @@ from densfam import (
     KWSet,
     alignment_block,
     atom_density,
-    block_bounds,
-    block_of,
     block_transform,
     coded_independent_set,
     f2_rank,
@@ -34,9 +32,9 @@ from densfam import (
     kw_family,
     kw_set,
     random_extension,
-    square_free_radicands,
 )
-from densfam.sets import CHUNK_BITS, SetBase, bits_to_mask, thin
+from densfam.constructors import _blocks
+from densfam.sets import CHUNK_BITS, SetBase, bits_to_mask, thin, window_counts
 
 rationals_01 = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
                             max_denominator=100)
@@ -75,7 +73,9 @@ def test_is_square_free():
 
 
 def test_square_free_radicands_prefix():
-    assert square_free_radicands(5) == (2, 3, 5, 6, 7)
+    # a gap family takes the square-free radicands from 2 up, in order
+    fam = gap_family(Fraction(9, 10), 5)
+    assert tuple(s.radicand for s in fam.sets) == (2, 3, 5, 6, 7)
 
 
 def test_threshold_fixed_rounds_down():
@@ -249,12 +249,6 @@ def test_coded_separation_in_next_block():
         assert any(sa.member(k) != sb.member(k) for k in range(lo, hi))
 
 
-def test_coded_accepts_callable_parameter():
-    s1 = coded_independent_set(lambda i: i % 2, 3)
-    s2 = coded_independent_set("0101", 3)
-    assert all(s1.member(k) == s2.member(k) for k in range(278))
-
-
 def test_coded_depth_cap():
     with pytest.raises(ValueError):
         coded_independent_set("0", 6)
@@ -300,14 +294,13 @@ def test_coded_kernel_matches_oracle_on_the_chunk_that_holds_its_end(depth):
 
 def test_factorial_block_layout():
     starts = oracles.factorial_block_starts(40)
-    for m in range(39):
-        assert block_bounds(m) == (starts[m], starts[m + 1])
+    assert list(_blocks(0, starts[39])) == [(m, starts[m], starts[m + 1]) for m in range(39)]
     for m in range(40):
-        assert block_of(starts[m]) == m
+        assert next(_blocks(starts[m], starts[m] + 1))[0] == m
         if m:
-            assert block_of(starts[m] - 1) == m - 1
-    with pytest.raises(ValueError):
-        block_of(-1)
+            assert next(_blocks(starts[m] - 1, starts[m]))[0] == m - 1
+    # no block holds a negative index
+    assert list(_blocks(-1, 0)) == []
 
 
 # frozen from oracles.block_parity_count_enum
@@ -763,9 +756,11 @@ def test_coded_every_pattern_appears_inside_early_blocks():
 
 def test_block_parity_fills_half_of_each_full_block():
     s = BlockParitySet(coded_independent_set((0,), 4))
+    bounds = {m: (lo, hi) for m, lo, hi in _blocks(0, fx.INDEX_LIMIT)}
     for m in (4, 5, 6):
-        lo, hi = block_bounds(m)
-        assert s.count_range(lo, hi) == (hi - lo) // 2
+        lo, hi = bounds[m]
+        below_lo, below_hi = window_counts([s], (lo, hi))[0]
+        assert below_hi - below_lo == (hi - lo) // 2
 
 
 def test_gap_family_nested_intersections_shrink_to_product():

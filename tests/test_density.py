@@ -16,12 +16,12 @@ from densfam import (
     estimate_density,
     from_elements,
     from_membership,
+    intersect,
     kw_set,
     omega,
-    relative_density,
-    rho_estimate,
+    scale,
     sym_diff,
-    upper_density_estimate,
+    window_counts,
 )
 
 # -- rational parsing ------------------------------------------------------
@@ -205,6 +205,24 @@ def log_block_set():
                            descriptor={"kind": "log-block"})
 
 
+def tail_upper(s, schedule):
+    """The largest density over the schedule's last three windows: a
+    finite look at the upper density."""
+    tail = schedule.windows()[-3:]
+    return max(Fraction(c, n) for c, n in zip(window_counts([s], tail)[0], tail))
+
+
+def rho(x, y, schedule):
+    """The symmetric-difference pseudometric on the schedule's tail."""
+    return tail_upper(sym_diff(x, y), schedule)
+
+
+def relative(s, b, n):
+    """|S ∩ B ∩ [0,n)| / |B ∩ [0,n)|."""
+    (denom,), (num,) = window_counts([b, intersect(s, b)], (n,))
+    return Fraction(num, denom)
+
+
 def test_log_block_counts_match_closed_form():
     s = log_block_set()
     for n in (10_000, 20_000, 40_000):
@@ -221,7 +239,7 @@ def test_log_block_reports_oscillating():
 
 def test_log_block_upper_estimate():
     sched = WindowSchedule(start=10_000, ratio=Fraction(2), count=8)
-    up = upper_density_estimate(log_block_set(), sched)
+    up = tail_upper(log_block_set(), sched)
     # doubling windows sample the oscillation at two phases; the tail
     # maximum is the 640000 window
     assert up == Fraction(349_525, 640_000)
@@ -234,35 +252,38 @@ def test_log_block_upper_estimate():
 
 def test_rho_of_set_with_itself_is_zero(small_schedule):
     s = from_membership(lambda n: n % 3 == 0)
-    assert rho_estimate(s, s, small_schedule) == 0
+    assert rho(s, s, small_schedule) == 0
 
 
 def test_rho_symmetric(small_schedule):
     a = from_membership(lambda n: n % 3 == 0)
     b = from_membership(lambda n: n % 4 == 0)
-    assert rho_estimate(a, b, small_schedule) == rho_estimate(b, a, small_schedule)
+    assert rho(a, b, small_schedule) == rho(b, a, small_schedule)
 
 
 def test_rho_complement_pair(small_schedule):
     a = from_membership(lambda n: n % 2 == 0)
-    assert rho_estimate(a, complement(a), small_schedule) == 1
+    assert rho(a, complement(a), small_schedule) == 1
 
 
 def test_rho_triangle_inequality(small_schedule):
     a = from_membership(lambda n: n % 2 == 0)
     b = from_membership(lambda n: n % 3 == 0)
     c = from_membership(lambda n: n % 5 == 0)
-    ab = rho_estimate(a, b, small_schedule)
-    bc = rho_estimate(b, c, small_schedule)
-    ac = rho_estimate(a, c, small_schedule)
+    ab = rho(a, b, small_schedule)
+    bc = rho(b, c, small_schedule)
+    ac = rho(a, c, small_schedule)
     assert ac <= ab + bc
 
 
 def test_rho_matches_sym_diff_upper(small_schedule):
     a = from_membership(lambda n: n % 2 == 0)
     b = from_membership(lambda n: n % 3 == 0)
-    assert rho_estimate(a, b, small_schedule) == upper_density_estimate(
-        sym_diff(a, b), small_schedule
+    # |A Δ B| = |A| + |B| - 2|A ∩ B| at every window
+    tail = small_schedule.windows()[-3:]
+    ca, cb, cab = window_counts([a, b, intersect(a, b)], tail)
+    assert rho(a, b, small_schedule) == max(
+        Fraction(x + y - 2 * z, n) for x, y, z, n in zip(ca, cb, cab, tail)
     )
 
 
@@ -272,29 +293,30 @@ def test_rho_matches_sym_diff_upper(small_schedule):
 def test_relative_density_of_multiples():
     within = from_membership(lambda n: n % 2 == 0)
     sub = from_membership(lambda n: n % 4 == 0)
-    assert relative_density(sub, within, 8000) == Fraction(1, 2)
+    assert relative(sub, within, 8000) == Fraction(1, 2)
 
 
 def test_relative_density_rejects_empty_reference():
     sub = from_elements([2])
     with pytest.raises(ZeroDivisionError):
-        relative_density(sub, from_elements([]), 8000)
+        relative(sub, from_elements([]), 8000)
 
 
 # -- stated prefix-density identities ---------------------------------------
 
 
 def test_prefix_density_of_evens_at_ten():
-    from densfam import prefix_density, scale
-
-    assert prefix_density(scale(omega(), 2), 10) == Fraction(1, 2)
+    ((count,),) = window_counts([scale(omega(), 2)], (10,))
+    assert Fraction(count, 10) == Fraction(1, 2)
 
 
 def test_prefix_density_rejects_empty_prefix():
-    from densfam import prefix_density
-
+    # densities come from schedules, whose windows start at 1, and from
+    # counts, which take no negative window
     with pytest.raises(ValueError):
-        prefix_density(omega(), 0)
+        WindowSchedule(start=0)
+    with pytest.raises(ValueError):
+        window_counts([omega()], (-1,))
 
 
 @given(
@@ -302,10 +324,9 @@ def test_prefix_density_rejects_empty_prefix():
     st.integers(min_value=1, max_value=5000),
 )
 def test_prefix_density_of_multiples_closed_form(p, n):
-    from densfam import prefix_density, scale
-
     # multiples of p below n: 0, p, 2p, ... -> ceil(n/p) of them
-    assert prefix_density(scale(omega(), p), n) == Fraction(-(-n // p), n)
+    ((count,),) = window_counts([scale(omega(), p)], (n,))
+    assert Fraction(count, n) == Fraction(-(-n // p), n)
 
 
 def test_kw_estimate_on_default_schedule():
@@ -316,7 +337,7 @@ def test_kw_estimate_on_default_schedule():
 
 def test_log_block_peaks_near_two_thirds_on_dyadic_windows():
     sched = WindowSchedule(start=1024, ratio=Fraction(2), count=8)
-    up = upper_density_estimate(log_block_set(), sched)
+    up = tail_upper(log_block_set(), sched)
     # windows 2^10 .. 2^17; the odd-exponent windows close in on 2/3
     assert up == Fraction(87_381, 131_072)
     assert Fraction(2, 3) - up < Fraction(1, 100_000)
@@ -327,16 +348,16 @@ def test_rho_of_evens_and_multiples_of_four():
     b = from_membership(lambda n: n % 4 == 0)
     sched = WindowSchedule(start=2048, ratio=Fraction(2), count=3)
     # A triangle B is the residue class 2 mod 4
-    assert rho_estimate(a, b, sched) == Fraction(1, 4)
+    assert rho(a, b, sched) == Fraction(1, 4)
 
 
 def test_relative_density_of_omega_is_one():
     b = from_membership(lambda n: n % 2 == 0)
-    assert relative_density(omega(), b, 6000) == 1
+    assert relative(omega(), b, 6000) == 1
 
 
 def test_relative_density_evens_within_multiples_of_three():
     a = from_membership(lambda n: n % 2 == 0)
     b = from_membership(lambda n: n % 3 == 0)
     # below 12 the multiples of three are 0,3,6,9; the even ones 0,6
-    assert relative_density(a, b, 12) == Fraction(1, 2)
+    assert relative(a, b, 12) == Fraction(1, 2)

@@ -17,7 +17,7 @@ from densfam import (
     Family,
     coded_independent_set,
     complement,
-    empty_set,
+    fixedpoint,
     from_elements,
     from_membership,
     intersect,
@@ -53,7 +53,7 @@ def test_omega_counts():
 
 
 def test_empty_counts():
-    e = empty_set()
+    e = from_elements([])
     assert e.prefix_count(123456) == 0
     assert not e.member(0)
 
@@ -63,7 +63,8 @@ def test_from_elements_membership_and_count():
     assert as_pyset(s, 120) == {3, 5, 8, 100}
     assert s.prefix_count(9) == 3
     assert s.prefix_count(101) == 4
-    assert s.count_range(4, 9) == 2
+    below_4, below_9 = window_counts([s], (4, 9))[0]
+    assert below_9 - below_4 == 2
 
 
 def test_complement_involution():
@@ -207,7 +208,9 @@ def test_from_membership_reads_fn_across_three_chunks():
 def test_count_range_additive():
     s = from_membership(lambda n: n % 7 in (0, 3))
     total = s.prefix_count(10_000)
-    assert s.count_range(0, 4000) + s.count_range(4000, 10_000) == total
+    below_4000 = s.prefix_count(4000)
+    lo, hi = window_counts([s], (4000, 10_000))[0]
+    assert below_4000 + (hi - lo) == total
 
 
 def test_workers_do_not_change_counts():
@@ -323,7 +326,7 @@ def test_member_reads_its_chunk_bit(kind):
 _PAIR = ((2, 3), ("3/10", "1/2"))
 _FREED_KINDS = {
     "omega": omega,
-    "empty": empty_set,
+    "empty": lambda: from_elements([]),
     "explicit": lambda: from_elements(_SPREAD),
     "oracle": lambda: from_membership(lambda n: n % 3 == 0),
     "coded": lambda: coded_independent_set("01", 3),
@@ -377,6 +380,30 @@ def test_thin_full_chunk_matches_oracle(name, below):
     swept.chunk_mask(0)
     for t in (fresh, swept):
         assert mask_to_bits(t.chunk_mask(1), CHUNK_BITS).tolist() == want
+
+
+def test_scale_of_a_thin_extension_sweeps_in_linear_time(monkeypatch):
+    # the sweep reads T at chunk c and scale(T, 3) reads it near c / 3, so
+    # T must start its trailing chunks from parities it kept, not from a
+    # fresh count of its atoms below them
+    calls = []
+    for name in ("orbit_chunk_mask", "orbit_chunk_continue"):
+        orig = getattr(fixedpoint, name)
+        monkeypatch.setattr(fixedpoint, name, lambda *a, orig=orig: calls.append(1) or orig(*a))
+    used, count_e = {}, {}
+    for chunks in (8, 16, 32):
+        fam = kw_family([2, 3, 5], ["0.3", "0.5", "0.7"])
+        t = thin_extension(fam.subfamily(["A0", "A1"]))
+        e = intersect(fam.set_of("A2"), scale(t, 3))
+        calls.clear()
+        count_e[chunks] = window_counts([*fam.sets, t, e], (chunks * CHUNK_BITS,))[-1]
+        used[chunks] = len(calls)
+    assert used[16] <= 2 * used[8] + 8, used
+    assert used[32] <= 2 * used[16] + 8, used
+    # E counted alone, so no sweep of T interleaves with the scale's reads
+    fam = kw_family([2, 3, 5], ["0.3", "0.5", "0.7"])
+    alone = intersect(fam.set_of("A2"), scale(thin_extension(fam.subfamily(["A0", "A1"])), 3))
+    assert window_counts([alone], (32 * CHUNK_BITS,))[0] == count_e[32]
 
 
 @pytest.mark.parametrize("odd", [0, 1])
@@ -450,7 +477,7 @@ def build(expr) -> SetBase:
     if kind == "omega":
         return omega()
     if kind == "empty":
-        return empty_set()
+        return from_elements([])
     if kind == "scale":
         return scale(build(args[0]), args[1])
     return _OPS[kind](*map(build, args))
