@@ -372,11 +372,15 @@ def thin(*parts: SetBase) -> SetBase:
             parity ^= parity << np.uint64(k)
         top = parity >> np.uint64(63)
         parity ^= np.uint64(0) - (np.bitwise_xor.accumulate(top, axis=1) ^ top ^ odd)
+        # threads sharing the set may interleave these steps: each is one
+        # dict call that tolerates another's change, and a column depends on
+        # its chunk index only, so a race at most drops a column
         odds[ci] = odd
         odds.pop(ci + 1, None)
         odds[ci + 1] = parity[:, -1:] >> np.uint64(63)
-        while len(odds) > _THIN_PARITIES:
-            del odds[next(iter(odds))]
+        kept = list(odds)
+        for old in kept[: max(0, len(kept) - _THIN_PARITIES)]:
+            odds.pop(old, None)
         return int.from_bytes(np.bitwise_or.reduce(words & parity, axis=0).tobytes(), "little")
 
     of = [p.descriptor for p in parts] if more else s.descriptor
