@@ -103,14 +103,18 @@ def _unit_flag(text: str, flag: str) -> Fraction:
     return x
 
 
+def _distinct(names: list[str], what: str) -> list[str]:
+    """names, unless one repeats: then a parse error "<what> 'X' twice"."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise SpecError(f"{what} {name!r} twice")
+    return names
+
+
 def _names_flag(text: str, flag: str) -> list[str]:
     """A comma-separated list of distinct names, each stripped, empty ones
     dropped."""
-    names = [n.strip() for n in text.split(",") if n.strip()]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise SpecError(f"{flag} names {name!r} twice")
-    return names
+    return _distinct([n.strip() for n in text.split(",") if n.strip()], f"{flag} names")
 
 
 def _named_set(spec: LoadedSpec, name: str) -> SetBase:
@@ -230,7 +234,8 @@ def cmd_verify(args) -> int:
     family = spec.require_family()
     sched = _resolve_schedule(spec, args)
     tol = _resolve_tol(spec, args)
-    rep = verify_independence(family, args.names or None, sched, tol, workers=args.workers)
+    names = _distinct(args.names, "the member list names")
+    rep = verify_independence(family, names or None, sched, tol, workers=args.workers)
 
     worst = max(rep.atoms, key=lambda a: a.deviation)
     rows = (
@@ -253,7 +258,7 @@ def cmd_image(args) -> int:
     spec = _load(args)
     family = spec.require_family()
     grid = _unit_flag(args.grid, "--grid")
-    values = field_values(family, args.names or None)
+    values = field_values(family, _distinct(args.names, "the member list names") or None)
     scan = values.scan(grid)
     rendered = [
         {**ratio(n, values.denominator), "multiplicity": m} for n, m in values.counts.items()
@@ -303,6 +308,7 @@ def cmd_reap(args) -> int:
             expr = sets[0] if len(sets) == 1 else intersect(*sets)
             targets.append(("&".join(names[i] for i in picked), expr))
     targets += [(n, _named_set(spec, n)) for n in args.targets]
+    _distinct([n for n, _ in targets], "the targets name")
 
     rep = bisect_check(s, targets, sched, tol, workers=args.workers)
 

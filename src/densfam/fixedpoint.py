@@ -10,25 +10,30 @@ Python:
 
 * ``orbit_chunk_mask`` evaluates blocks of B = 2**14 indices with
   numpy, on the 64-bit high limb (bits 32-95) of the orbit value alone,
-  which wraps mod 2**64 as the value wraps mod 2**96.  Over a block the
-  low limbs add a carry below B to the high limb, so an index is
-  decided by its carry-free high limb h unless h lies on one of two
-  arcs of B values: up to the threshold's high limb (the tie included),
-  or just below 2**64 (where the carry wraps).  A block that meets
-  neither arc, found by binary search in a sorted per-step table, is
-  one add and one compare; each index on an arc is decided by the exact
-  ``orbit_value`` comparison, so every bit agrees with ``orbit_value``.
-  Only np.uint64 operands enter the arithmetic.
+  which wraps mod 2**64 as the value wraps mod 2**96.  Index i of a
+  block that starts at orbit value x has the carry-free high limb
+  h_i = hi(x) + i*hi(step) mod 2**64, and the low limbs add a carry
+  c_i < B to it, since lo(x) + i*lo(step) < B * 2**32.  So an index
+  whose value lies on an arc [a, a + w) has h_i on [hi(a) - B + 1,
+  hi(a) + hi(w) + 1], the + 1 being the carry of lo(a) + lo(w).  One
+  binary search in a sorted per-step table finds these offsets for
+  every block and arc, and each is decided by the exact ``orbit_value``
+  test.  The direct kernel compares h_i with the threshold's high limb
+  and so decides every index except those near two points (w = 0): the
+  threshold (the tie) and 0 (where the carry wraps).  Only np.uint64
+  operands enter the arithmetic.
 * ``orbit_chunk_continue`` derives a chunk from the one before it
   (three-distance theorem: Sós 1958; Lothaire, *Algebraic Combinatorics
-  on Words*, ch. 2).  With d = v(q), v(n) = v(n - q) + d mod 2**96, so
-  bit(n) = bit(n - q) XOR flip(n), with flip(n) exactly when v(n) is in
-  [0, t) symmetric-difference [d, d + t).  If w = min(d, 2**96 - d) <=
-  min(t, 2**96 - t) those are two arcs, [s, s + w) and [t + s, t + s + w)
-  with s = 0 for d <= 2**95 and s = d otherwise.  For q the largest
-  convergent denominator of step / 2**96 in a chunk, w < 2**96 / q', q'
-  the next one, so a chunk has a few flips: found in the sorted table as
-  above, and each decided by the exact arc test.
+  on Words*, ch. 2).  With d = v(q) and e = d or d - 2**96, whichever
+  has |e| = w = min(d, 2**96 - d), v(n - q) = v(n) - e mod 2**96, so
+  bit(n) = bit(n - q) XOR flip(n), flip(n) = [v(n) on [0, t)] XOR
+  [v(n) on [e, e + t)].  For every threshold t, [0, t) then [t, t + e),
+  and [0, e) then [e, e + t), both run once from 0 to t + e mod 2**96,
+  so flip(n) = [v(n) on [s, s + w)] XOR [v(n) on [t + s, t + s + w)],
+  s = min(0, e) mod 2**96; an index on both arcs flips twice, which is
+  right.  For q the largest convergent denominator of step / 2**96 in a
+  chunk, w < 2**96 / q', q' the next one, so a chunk has a few flips,
+  found by the shared search.
 * ``orbit_count`` counts {i < n : orbit value < t} in closed form.  The
   orbit is a rational rotation with modulus 2**96, so the count is a
   difference of two ``floor_sum`` values (the Euclid-style sum of
@@ -186,57 +191,50 @@ def _step_table(s_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table, table[order], order
 
 
+def _arc_candidates(step: int, start: int, length: int, arcs: tuple, w: int):
+    """Yield (i, a) for each offset i < length from start whose carry-free
+    high limb lies on [hi(a) - B + 1, hi(a) + hi(w) + 1] mod 2**64, for
+    each arc start a: every index whose orbit value is on [a, a + w)."""
+    _, sorted_table, order = _step_table(step >> 32)
+    width = (w >> 32) + _BLOCK + 1
+    blocks = range(0, length, _BLOCK)
+    los = [((a >> 32) - _BLOCK + 1 - (orbit_value(step, start + o) >> 32)) % _TOP
+           for o in blocks for a in arcs]
+    ends = np.array(los + [(lo + width) % _TOP for lo in los], dtype=np.uint64)
+    p = np.searchsorted(sorted_table, ends).tolist()
+    for j, lo in enumerate(los):
+        # T entries on [lo, lo + width) mod 2**64, two runs if it wraps
+        p0, p1 = p[j], p[j + len(los)]
+        o, a = blocks[j // len(arcs)], arcs[j % len(arcs)]
+        found = order[p0:p1] if lo + width < _TOP else np.r_[order[p0:], order[:p1]]
+        for i in found.tolist():
+            if i < length - o:
+                yield o + i, a
+
+
 def orbit_chunk_mask(step: int, thr_eff: int, start: int, length: int) -> int:
     """Membership bitmask of {n : orbit value < thr_eff} on [start, start+length).
 
-    A block of indices start+o+i, i < B, starts at orbit value x.  The
-    high limb (bits 32-95) of x + i*step is h_i + c_i mod 2**64, where
-    h_i = hi(x) + T[i] mod 2**64 with T[i] = i*hi(step), and c_i < B is
-    the carry out of the low limbs, since lo(x) + i*lo(step) < B * 2**32.
-    With t = hi(thr_eff):
-
-    * h_i < t - B + 1: the high limb is below t, a member;
-    * t < h_i <= 2**64 - B: the high limb exceeds t, not a member;
-    * h_i in [t - B + 1, t] (the tie arc) or in (2**64 - B, 2**64) (the
-      wrap arc): undecided by h_i alone.
-
-    Each arc, shifted by -hi(x), is located in the sorted copy of T by
-    binary search, so a block that meets neither is one add and one
-    compare.  In a block that meets one, each index on an arc is decided
-    by the exact orbit_value comparison.  Every bit agrees with
-    orbit_value.
+    With t = hi(thr_eff), index i of a block is a member when its
+    carry-free high limb h_i < t - B + 1 and not one when t + 1 < h_i <=
+    2**64 - B; the rest lie near t or near 0, and ``_arc_candidates``
+    finds them for the exact orbit_value comparison.  Every bit agrees
+    with orbit_value.
     """
-    table, sorted_table, _ = _step_table(step >> 32)
-    t_hi = thr_eff >> 32
-    sure = np.uint64(max(t_hi - _BLOCK + 1, 0))
-    tie_lo = (t_hi - _BLOCK + 1) % _TOP
-    wrap_lo = _TOP - _BLOCK + 1
-    hit = np.empty(length, dtype=bool)
-    h = np.empty(min(length, _BLOCK), dtype=np.uint64)
-    for o in range(0, length, _BLOCK):
-        n = min(_BLOCK, length - o)
-        x_hi = orbit_value(step, start + o) >> 32
-        hb = h[:n]
-        np.add(table[:n], np.uint64(x_hi), out=hb)
-        np.less(hb, sure, out=hit[o : o + n])
-        # T entries on the arc [a, a + w) mod 2**64 number p(a + w) - p(a),
-        # plus B if the arc wraps, where p is the sorted insertion point
-        tie = (tie_lo - x_hi) % _TOP
-        wrap = (wrap_lo - x_hi) % _TOP
-        ends = (tie, (tie + _BLOCK) % _TOP, wrap, (wrap + _BLOCK - 1) % _TOP)
-        p = np.searchsorted(sorted_table, np.array(ends, dtype=np.uint64)).tolist()
-        if (p[1] - p[0] + _BLOCK * (tie + _BLOCK >= _TOP)
-                or p[3] - p[2] + _BLOCK * (wrap + _BLOCK - 1 >= _TOP)):
-            on_arc = (hb - np.uint64(tie_lo) < np.uint64(_BLOCK)) | (hb >= np.uint64(wrap_lo))
-            for i in np.flatnonzero(on_arc).tolist():
-                hit[o + i] = orbit_value(step, start + o + i) < thr_eff
+    table = _step_table(step >> 32)[0]
+    sure = np.uint64(max((thr_eff >> 32) - _BLOCK + 1, 0))
+    x_hi = [orbit_value(step, start + o) >> 32 for o in range(0, length, _BLOCK)]
+    hit = (np.array(x_hi, dtype=np.uint64)[:, None] + table < sure).ravel()[:length]
+    for i, _ in _arc_candidates(step, start, length, (thr_eff, 0), 0):
+        hit[i] = orbit_value(step, start + i) < thr_eff
     return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
 
 
-def orbit_shift(step: int, thr_eff: int, length: int) -> tuple | None:
-    """(q, w, arc starts) for orbit_chunk_continue, q the largest
-    convergent denominator of step / 2**96 up to length, or None when
-    the two flip arcs would overlap."""
+def orbit_shift(step: int, thr_eff: int, length: int) -> tuple:
+    """(q, w, arc starts) for orbit_chunk_continue: q the largest
+    convergent denominator of step / 2**96 up to length, w = min(d,
+    2**96 - d) for d = v(q), and the two flip arcs [s, s + w) and
+    [thr_eff + s, thr_eff + s + w), for any thr_eff."""
     h, k, q0, q = MOD, step, 0, 1
     while k:  # the continued fraction of step / 2**96
         a, r = divmod(h, k)
@@ -245,8 +243,6 @@ def orbit_shift(step: int, thr_eff: int, length: int) -> tuple | None:
         h, k, q0, q = k, r, q, a * q + q0
     d = orbit_value(step, q)
     w = min(d, MOD - d)
-    if w > min(thr_eff, MOD - thr_eff):
-        return None
     s = 0 if d == w else d
     return q, w, (s, (thr_eff + s) & MASK)
 
@@ -254,25 +250,14 @@ def orbit_shift(step: int, thr_eff: int, length: int) -> tuple | None:
 def orbit_chunk_continue(step: int, shift: tuple, start: int, length: int, prev: int) -> int:
     """orbit_chunk_mask(step, thr_eff, start, length) from prev, the mask of
     the length indices before start, and shift = orbit_shift(step, thr_eff,
-    length).  An index on arc [a, a + w) has a carry-free high limb on
-    [hi(a) - B + 1, hi(a) + hi(w) + 1]; the flips, XOR-ed onto prev's last
-    q bits, are extended with period q by shift-XOR doubling."""
+    length).  The flips, each index on an arc by the exact test, are
+    XOR-ed onto prev's last q bits and extended with period q by shift-XOR
+    doubling."""
     q, w, arcs = shift
-    _, sorted_table, order = _step_table(step >> 32)
-    width = (w >> 32) + _BLOCK + 1
-    blocks = range(0, length, _BLOCK)
-    los = [((a >> 32) - _BLOCK + 1 - (orbit_value(step, start + o) >> 32)) % _TOP
-           for o in blocks for a in arcs]
-    ends = np.array(los + [(lo + width) % _TOP for lo in los], dtype=np.uint64)
-    p = np.searchsorted(sorted_table, ends).tolist()
     flips = 0
-    for j, lo in enumerate(los):
-        p0, p1 = p[j], p[j + len(los)]
-        o, a = blocks[j // 2], arcs[j % 2]
-        found = order[p0:p1] if lo + width < _TOP else np.r_[order[p0:], order[:p1]]
-        for i in found.tolist():
-            if i < length - o and (orbit_value(step, start + o + i) - a) & MASK < w:
-                flips ^= 1 << (o + i)
+    for i, a in _arc_candidates(step, start, length, arcs, w):
+        if (orbit_value(step, start + i) - a) & MASK < w:
+            flips ^= 1 << i
     bits = prev >> (length - q) ^ flips
     while q < length:
         bits ^= bits << q
@@ -280,11 +265,8 @@ def orbit_chunk_continue(step: int, shift: tuple, start: int, length: int, prev:
     return bits & ((1 << length) - 1)
 
 
-def orbit_band_count(step: int, thr: int, start: int, length: int) -> int:
-    """Number of indices in [start, start+length) whose orbit value lies
-    in the guard band [thr - GUARD, thr + GUARD); exact, by floor sums."""
-
-    def below(t: int) -> int:
-        return orbit_count(step, t, start + length) - orbit_count(step, t, start)
-
-    return below(thr + GUARD) - below(thr - GUARD)
+def orbit_band_count(step: int, thr: int, n: int) -> int:
+    """Number of indices below n whose orbit value lies in the guard band
+    [thr - GUARD, thr + GUARD): the difference of the two orbit_count
+    values, whose floor_sum(n, MOD, step, 0) terms cancel."""
+    return floor_sum(n, MOD, step, MOD - thr + GUARD) - floor_sum(n, MOD, step, MOD - thr - GUARD)

@@ -1029,7 +1029,12 @@ def test_wrong_typed_spec_value_is_parse_error_naming_it(tmp_path, capsys, doc, 
      "--family names 'A0' twice"),
     (["pack", "--side", "0", "--target", "0.5", "--members", "A0, A1,A0"],
      "--members names 'A0' twice"),
-], ids=["reap-intersections", "extend-family", "pack-members"])
+    (["verify", "A0", "A0"], "the member list names 'A0' twice"),
+    (["image", "A0", "A0"], "the member list names 'A0' twice"),
+    (["reap", "A0", "A1", "A1"], "the targets name 'A1' twice"),
+    (["reap", "A2", "A0", "--intersections", "A0"], "the targets name 'A0' twice"),
+], ids=["reap-intersections", "extend-family", "pack-members", "verify-names", "image-names",
+        "reap-targets", "reap-target-and-intersection"])
 def test_repeated_name_in_a_name_list_is_parse_error_naming_the_flag(tmp_path, capsys,
                                                                      command, message):
     assert main([command[0], write_spec(tmp_path, KW3), *command[1:]]) == 2

@@ -136,7 +136,6 @@ def _continued(step, thr_eff, ci):
     """Chunk ci continued from the direct kernel's chunk ci - 1, and the
     direct kernel's chunk ci itself."""
     shift = fx.orbit_shift(step, thr_eff, CHUNK_BITS)
-    assert shift is not None
     prev = fx.orbit_chunk_mask(step, thr_eff, (ci - 1) * CHUNK_BITS, CHUNK_BITS)
     return (fx.orbit_chunk_continue(step, shift, ci * CHUNK_BITS, CHUNK_BITS, prev),
             fx.orbit_chunk_mask(step, thr_eff, ci * CHUNK_BITS, CHUNK_BITS))
@@ -159,20 +158,27 @@ def test_shift_is_the_largest_convergent_in_a_chunk():
     assert w < fx.MOD // 80782 and a1 == (a0 + fx.MOD // 2) % fx.MOD
 
 
-def test_shift_refuses_overlapping_arcs():
-    # a threshold within w of 0 or 1 would make the two flip arcs overlap
-    step = fx.frac_step(2)
+@pytest.mark.parametrize("r", [2, 3, 5, 7])
+def test_continued_chunk_at_thresholds_within_w_of_0_or_1(monkeypatch, r):
+    # the two flip arcs meet or overlap, and an index on both flips twice
+    step = fx.frac_step(r)
     _, w, _ = fx.orbit_shift(step, fx.MOD // 2, CHUNK_BITS)
-    assert fx.orbit_shift(step, w, CHUNK_BITS) is not None
-    assert fx.orbit_shift(step, w - 1, CHUNK_BITS) is None
-    assert fx.orbit_shift(step, fx.MOD - w, CHUNK_BITS) is not None
-    assert fx.orbit_shift(step, fx.MOD - w + 1, CHUNK_BITS) is None
-    # such a rotation set takes the direct kernel for every chunk
+    for thr_eff in (w - 1, w, w + 1, fx.MOD - w - 1, fx.MOD - w, fx.MOD - w + 1):
+        shift = fx.orbit_shift(step, thr_eff, CHUNK_BITS)
+        for ci in (1, 2):
+            prev = fx.orbit_chunk_mask(step, thr_eff, (ci - 1) * CHUNK_BITS, CHUNK_BITS)
+            assert (fx.orbit_chunk_continue(step, shift, ci * CHUNK_BITS, CHUNK_BITS, prev)
+                    == oracles.orbit_walk_mask(step, thr_eff, ci * CHUNK_BITS, CHUNK_BITS))
+    # such a rotation set continues its chunks too
+    continued = []
+    real = fx.orbit_chunk_continue
+    monkeypatch.setattr(fx, "orbit_chunk_continue",
+                        lambda *a: continued.append(a[2]) or real(*a))
     s = KWSet(2, Fraction(1, 10**6))
-    assert s._shift is None
     for ci in (0, 1):
-        assert s.chunk_mask(ci) == oracles.orbit_walk_mask(step, s._thr_eff, ci * CHUNK_BITS,
-                                                           CHUNK_BITS)
+        assert s.chunk_mask(ci) == oracles.orbit_walk_mask(s._step, s._thr_eff,
+                                                           ci * CHUNK_BITS, CHUNK_BITS)
+    assert continued == [CHUNK_BITS]
 
 
 def _d(step):
@@ -210,15 +216,20 @@ def test_continued_chunk_at_the_ends_of_the_zero_arc(sign, at_d, delta):
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 @pytest.mark.parametrize("at_end", [False, True], ids=["at-start", "at-end"])
-@pytest.mark.parametrize("r", [2, 3, 5, 7])
-def test_continued_chunk_at_the_ends_of_the_threshold_arc(r, at_end, delta):
-    # the threshold arc [t + s, t + s + w) is placed by t: put an index's
+@pytest.mark.parametrize("r, n", [
+    (2, 5 * CHUNK_BITS + 12_345), (3, 5 * CHUNK_BITS + 12_345), (5, 5 * CHUNK_BITS + 12_345),
+    (7, 5 * CHUNK_BITS + 12_345),
+    # a block's first index has no carry, so at the arc's last value its
+    # carry-free high limb can reach hi(a) + hi(w) + 1
+    (2, 30 * CHUNK_BITS + fx._BLOCK),
+], ids=["2", "3", "5", "7", "2-block-start"])
+def test_continued_chunk_at_the_ends_of_the_threshold_arc(r, n, at_end, delta):
+    # the threshold arc [t + s, t + s + w) is placed by t: put index n's
     # orbit value at either end, nudged by delta
     step = fx.frac_step(r)
     q, w, (s, _) = fx.orbit_shift(step, fx.MOD // 3, CHUNK_BITS)
-    n = 5 * CHUNK_BITS + 12_345
     thr_eff = (fx.orbit_value(step, n) - s - w * at_end - delta) % fx.MOD
-    got, want = _continued(step, thr_eff, 5)
+    got, want = _continued(step, thr_eff, n // CHUNK_BITS)
     assert got == want
 
 
@@ -247,7 +258,8 @@ def test_band_count_matches_orbit_walk(r, start, length, k, delta):
     thr = fx.orbit_value(step, start + min(k, max(length - 1, 0))) + delta
     thr = min(max(thr, fx.GUARD + 1), fx.MOD - 2 * fx.GUARD - 1)
     want = oracles.orbit_walk_band(step, thr - fx.GUARD, thr + fx.GUARD, start, length)
-    assert fx.orbit_band_count(step, thr, start, length) == want
+    got = fx.orbit_band_count(step, thr, start + length) - fx.orbit_band_count(step, thr, start)
+    assert got == want
 
 
 @given(radicands, st.fractions(Fraction(1, 100), Fraction(99, 100)),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from densfam import (
     Family,
+    SetBase,
     SignPattern,
     WindowSchedule,
     atom_density,
@@ -31,7 +32,6 @@ from densfam import (
     thin_extension,
     verify_independence,
 )
-from densfam.constructors import BlockParitySet
 from densfam.verify import MAX_FIELD_MEMBERS, MAX_VERIFY_MEMBERS
 
 
@@ -200,17 +200,24 @@ def test_verify_raises_when_atoms_miss_an_index(kw_pair, small_schedule, monkeyp
         verify_independence(kw_pair, schedule=small_schedule)
 
 
-def test_verify_raises_when_a_block_chunk_breaks_its_closed_form(monkeypatch):
-    # the block kernel gets index 100 wrong in every chunk; the member's
-    # period count must disagree with its atoms at the first window
-    classical = [coded_independent_set(s, 4) for s in ("00", "01")]
-    fam = block_transform(classical)
-    kernel = BlockParitySet._compute_chunk
-    monkeypatch.setattr(BlockParitySet, "_compute_chunk",
-                        lambda self, ci: kernel(self, ci) ^ (1 << 100))
+HINTED_MEMBERS = {
+    "block": lambda: block_transform([coded_independent_set(s, 4) for s in ("00", "01")]).sets[0],
+    "explicit": lambda: from_elements(range(0, 10**4, 3)),
+    "thin": lambda: thin(kw_set(2, Fraction(1, 2))),
+}
+
+
+@pytest.mark.parametrize("kind", HINTED_MEMBERS)
+def test_verify_raises_when_a_block_chunk_breaks_its_closed_form(kind):
+    # the member's kernel gets index 100 wrong in every chunk; its count
+    # hint must disagree with its atoms at the first window
+    s = HINTED_MEMBERS[kind]()
+    broken = SetBase(s.descriptor, chunk_fn=lambda ci: s.chunk_mask(ci) ^ (1 << 100),
+                     count_hint=s.count_hint)
+    fam = Family(("M",), (broken,), (Fraction(1, 3),))
     sched = WindowSchedule(start=2000, ratio=Fraction(2), count=3)
-    with pytest.raises(ValueError, match=r"member B0 at window 2000: its atoms count \d+, "
-                                         r"its count hint \d+"):
+    with pytest.raises(ValueError, match=r"count identity failed for member M at window 2000: "
+                                         r"its atoms count \d+, its count hint \d+"):
         verify_independence(fam, schedule=sched)
 
 
