@@ -15,7 +15,7 @@ from densfam import (
     as_fraction,
     bisect_check,
     estimate_density,
-    intersect,
+    intersections,
     kw_family,
     thin_extension,
     verify_independence,
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
               f"  [{est.status}]")
     print()
 
-    rep = verify_independence(fam, None, sched, tol)
+    rep = verify_independence(fam, sched, tol)
     print(f"independence sweep over {2 ** len(fam.names)} sign patterns")
     worst = max(rep.atoms, key=lambda a: a.deviation)
     for a in rep.atoms:
@@ -62,18 +62,14 @@ def main(argv=None) -> int:
     print()
 
     enlarged = fam.extended("B", thin_extension(fam), Fraction(1, 2))
-    rep2 = verify_independence(enlarged, None, sched, tol)
+    rep2 = verify_independence(enlarged, sched, tol)
     print(f"after thinning extension: {2 ** len(enlarged.names)} patterns,"
           f" worst deviation"
           f" {float(max(a.deviation for a in rep2.atoms)):.2e}"
           f" -> {'PASS' if rep2.passed else 'FAIL'}")
     print()
 
-    targets = []
-    for mask in range(1, 1 << len(fam.names)):
-        picked = [i for i in range(len(fam.names)) if (mask >> i) & 1]
-        label = "&".join(fam.names[i] for i in picked)
-        targets.append((label, intersect(*(fam.sets[i] for i in picked))))
+    targets = intersections(list(zip(fam.names, fam.sets)))
     bis = bisect_check(enlarged.set_of("B"), targets, sched, tol)
     print(f"bisection of all {len(targets)} nonempty intersections")
     for m in bis.members:

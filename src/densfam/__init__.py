@@ -31,6 +31,7 @@ from .reaping import (
     BisectReport,
     WitnessReport,
     bisect_check,
+    intersections,
     nonindependence_witness,
     thin_extension,
 )

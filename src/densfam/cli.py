@@ -41,7 +41,7 @@ from .density import (
     default_tolerance,
 )
 from .fixedpoint import check_index_bound
-from .reaping import WitnessReport, bisect_check, thin_extension
+from .reaping import WitnessReport, bisect_check, intersections, thin_extension
 from .reports import (
     band_json,
     bisect_json,
@@ -235,7 +235,8 @@ def cmd_verify(args) -> int:
     sched = _resolve_schedule(spec, args)
     tol = _resolve_tol(spec, args)
     names = _distinct(args.names, "the member list names")
-    rep = verify_independence(family, names or None, sched, tol, workers=args.workers)
+    rep = verify_independence(family.subfamily(names) if names else family, sched, tol,
+                              workers=args.workers)
 
     worst = max(rep.atoms, key=lambda a: a.deviation)
     rows = (
@@ -258,7 +259,8 @@ def cmd_image(args) -> int:
     spec = _load(args)
     family = spec.require_family()
     grid = _unit_flag(args.grid, "--grid")
-    values = field_values(family, _distinct(args.names, "the member list names") or None)
+    names = _distinct(args.names, "the member list names")
+    values = field_values(family.subfamily(names) if names else family)
     scan = values.scan(grid)
     rendered = [
         {**ratio(n, values.denominator), "multiplicity": m} for n, m in values.counts.items()
@@ -301,12 +303,7 @@ def cmd_reap(args) -> int:
             raise SpecError(
                 f"--intersections takes at most {MAX_VERIFY_MEMBERS} names, got {len(names)}"
             )
-        members = [_named_set(spec, n) for n in names]
-        for mask in range(1, 1 << len(names)):
-            picked = [i for i in range(len(names)) if (mask >> i) & 1]
-            sets = [members[i] for i in picked]
-            expr = sets[0] if len(sets) == 1 else intersect(*sets)
-            targets.append(("&".join(names[i] for i in picked), expr))
+        targets = intersections([(n, _named_set(spec, n)) for n in names])
     targets += [(n, _named_set(spec, n)) for n in args.targets]
     _distinct([n for n, _ in targets], "the targets name")
 
@@ -348,7 +345,7 @@ def cmd_extend(args) -> int:
             "family": list(base.names),
         }
         enlarged = base.extended(args.name, new_set, Fraction(1, 2))
-        rep = verify_independence(enlarged, None, sched, tol, workers=args.workers)
+        rep = verify_independence(enlarged, sched, tol, workers=args.workers)
         body = {
             "mode": "thin",
             "descriptor": descriptor,
@@ -406,7 +403,7 @@ def cmd_pack(args) -> int:
     spec = _load(args)
     family = spec.require_family()
     base = family.subfamily(_names_flag(args.members, "--members")) if args.members else family
-    result = greedy_atom_pack(base, args.side, _unit_flag(args.target, "--target"))
+    result = greedy_atom_pack(base.densities, args.side, _unit_flag(args.target, "--target"))
 
     passed = result.certificate_ok()
     rows = (

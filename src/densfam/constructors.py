@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count, product
 from math import factorial
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -81,8 +81,6 @@ class Family:
         return list(zip(self.names, self.sets, self.densities))
 
     def subfamily(self, names: Sequence[str]) -> "Family":
-        if len(set(names)) != len(names):
-            raise ValueError("subfamily names must be distinct")
         idx = [self.index(n) for n in names]
         return Family(
             tuple(self.names[i] for i in idx),
@@ -175,14 +173,10 @@ def kw_set(radicand: int, threshold: Rational) -> KWSet:
     return KWSet(int(radicand), as_fraction(threshold))
 
 
-def kw_family(
-    radicands: Sequence[int],
-    thresholds: Sequence[Rational],
-    names: Optional[Sequence[str]] = None,
-) -> Family:
-    """Family of rotation threshold sets over distinct square-free
-    radicands; distinctness keeps the generators rationally independent,
-    which is what makes the joint orbit equidistribute."""
+def kw_family(radicands: Sequence[int], thresholds: Sequence[Rational]) -> Family:
+    """Family A0, A1, ... of rotation threshold sets over distinct
+    square-free radicands; distinctness keeps the generators rationally
+    independent, which is what makes the joint orbit equidistribute."""
     if len(radicands) == 0:
         raise ValueError("family must be nonempty")
     if len(radicands) != len(thresholds):
@@ -190,8 +184,7 @@ def kw_family(
     if len(set(int(r) for r in radicands)) != len(radicands):
         raise ValueError("radicands must be distinct")
     sets = tuple(kw_set(r, p) for r, p in zip(radicands, thresholds))
-    names = tuple(names) if names is not None else _default_names(len(sets))
-    return Family(names, sets, tuple(s.declared for s in sets))
+    return Family(_default_names(len(sets)), sets, tuple(s.declared for s in sets))
 
 
 # -- coded classical independent sets ----------------------------------
@@ -374,18 +367,14 @@ def alignment_block(
     return None
 
 
-def block_transform(
-    classical: Sequence[SetBase],
-    names: Optional[Sequence[str]] = None,
-) -> Family:
-    """Parity-transform a finite list of classical sets into a family of
-    density-1/2 sets; exact equal block shares kick in at the alignment
-    block recorded in the family's meta, searched up to block
-    MAX_ALIGNMENT_BLOCK."""
+def block_transform(classical: Sequence[SetBase]) -> Family:
+    """Parity-transform a finite list of classical sets into a family
+    B0, B1, ... of density-1/2 sets; exact equal block shares kick in at
+    the alignment block recorded in the family's meta, searched up to
+    block MAX_ALIGNMENT_BLOCK."""
     if len(classical) == 0:
         raise ValueError("family must be nonempty")
     sets = tuple(BlockParitySet(c) for c in classical)
-    names = tuple(names) if names is not None else _default_names(len(sets), "B")
     m0 = alignment_block(classical)
     meta = {"alignment_block": m0}
     if m0 is None:
@@ -393,7 +382,7 @@ def block_transform(
             f"indicator rank never reached {len(classical)} up to block {MAX_ALIGNMENT_BLOCK}; "
             "equal block shares are not guaranteed"
         )
-    return Family(names, sets, tuple(Fraction(1, 2) for _ in sets), meta)
+    return Family(_default_names(len(sets), "B"), sets, tuple(Fraction(1, 2) for _ in sets), meta)
 
 
 # -- biased-coin randomized extension ----------------------------------
@@ -494,13 +483,9 @@ def random_extension(
 # -- near-1 threshold chains (density gap families) ---------------------
 
 
-def gap_family(
-    target: Rational,
-    size: int,
-    names: Optional[Sequence[str]] = None,
-) -> Family:
-    """Family whose generated field's densities avoid an interval
-    around 1/2.
+def gap_family(target: Rational, size: int) -> Family:
+    """Family G0, G1, ... whose generated field's densities avoid an
+    interval around 1/2.
 
     Member n gets threshold target**(2**-(n+1)), so the running product
     of thresholds stays at least `target`; any field element either
@@ -526,9 +511,8 @@ def gap_family(
     prod = Fraction(1)
     for d in declared:
         prod *= d
-    names = tuple(names) if names is not None else _default_names(size, "G")
     meta = {"gap_target": p, "threshold_product": prod}
-    return Family(names, tuple(sets), tuple(declared), meta)
+    return Family(_default_names(size, "G"), tuple(sets), tuple(declared), meta)
 
 
 # -- greedy pattern packing below a density budget ----------------------
@@ -563,12 +547,18 @@ class PackResult:
         return all(self.total + d >= self.target for _, d in self.excluded)
 
 
+# the final level holds 2**(k-1) patterns, each kept or excluded in the
+# result, so time, memory and report double with every member
+MAX_PACK_MEMBERS = 18
+
+
 def greedy_atom_pack(
-    family: Union[Family, Sequence[Rational]],
+    member_densities: Sequence[Rational],
     side: int,
     target: Rational,
 ) -> PackResult:
-    """Level-by-level greedy pattern packing.
+    """Level-by-level greedy pattern packing over at most
+    MAX_PACK_MEMBERS members, given by their declared densities.
 
     At level L the candidate patterns are the sign patterns over the
     first L members whose first bit equals `side`.  Refinements of
@@ -576,14 +566,15 @@ def greedy_atom_pack(
     candidates are added cheapest-first, ties in lexicographic pattern
     order, while the running total stays strictly below the target.
     """
-    if isinstance(family, Family):
-        densities = family.densities
-    else:
-        densities = tuple(as_fraction(d) for d in family)
-        if any(not 0 < d < 1 for d in densities):
-            raise ValueError("member densities must lie strictly in (0,1)")
+    densities = tuple(as_fraction(d) for d in member_densities)
+    if any(not 0 < d < 1 for d in densities):
+        raise ValueError("member densities must lie strictly in (0,1)")
     if len(densities) == 0:
         raise ValueError("family must be nonempty")
+    if len(densities) > MAX_PACK_MEMBERS:
+        raise ValueError(
+            f"at most {MAX_PACK_MEMBERS} members supported here, got {len(densities)}"
+        )
     if side not in (0, 1):
         raise ValueError("side must be 0 or 1")
     x = as_fraction(target)

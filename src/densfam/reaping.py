@@ -49,6 +49,16 @@ class BisectReport:
     passed: bool
 
 
+def intersections(named: Sequence[tuple[str, SetBase]]) -> list[tuple[str, SetBase]]:
+    """The 2**k - 1 nonempty intersections of k (name, set) pairs as ("A&B",
+    set) pairs, in bitmask order with the first pair's bit least; each is
+    one AND of an earlier one with one set."""
+    out: list[tuple[str, SetBase]] = []
+    for name, s in named:
+        out += [(name, s)] + [(f"{label}&{name}", intersect(t, s)) for label, t in out]
+    return out
+
+
 def bisect_check(
     s: SetBase,
     targets: Sequence[tuple[str, SetBase]],

@@ -249,7 +249,10 @@ def omega() -> SetBase:
 
 def from_elements(elements: Iterable[int]) -> SetBase:
     """Finite explicit set; useful as a leaf in tests and expressions."""
-    elems = sorted(set(int(e) for e in elements))
+    given = list(elements)
+    if any(int(e) != e for e in given):
+        raise ValueError("elements must be integers")
+    elems = sorted(set(int(e) for e in given))
     if elems and elems[0] < 0:
         raise ValueError("elements must be nonnegative")
     # int64 while every index a chunk search can meet fits in it
@@ -315,9 +318,9 @@ def scale(s: SetBase, factor: int) -> SetBase:
     A chunk at a is S's bits over [ceil(a/m), ceil((a + CHUNK_BITS)/m))
     stored with stride m from offset ceil(a/m)*m - a.
     """
-    if factor < 1:
-        raise ValueError("scale factor must be a positive integer")
     m = int(factor)
+    if m != factor or m < 1:
+        raise ValueError("scale factor must be a positive integer")
 
     def hint(n: int) -> int:
         return s.prefix_count(-(-n // m))

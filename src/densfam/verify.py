@@ -50,19 +50,6 @@ class SignPattern:
         return ",".join(f"{n}={b}" for n, b in zip(self.names, self.bits))
 
 
-def _resolve_names(family: Family, names: Optional[Sequence[str]], cap: int) -> tuple[str, ...]:
-    chosen = tuple(names) if names is not None else family.names
-    if len(chosen) == 0:
-        raise ValueError("need at least one member")
-    if len(set(chosen)) != len(chosen):
-        raise ValueError("member names must be distinct")
-    for n in chosen:
-        family.index(n)  # raises KeyError for unknown names
-    if len(chosen) > cap:
-        raise ValueError(f"at most {cap} members supported here, got {len(chosen)}")
-    return chosen
-
-
 def atoms(sets: Sequence[SetBase]) -> list[SetExpr]:
     """The 2**k sign-pattern intersections of k sets, in
     product((0, 1), repeat=k) order: each set (bit 1) or its complement
@@ -120,15 +107,8 @@ class VerificationReport:
     passed: bool
 
 
-def _family_is_randomized(family: Family, names: Sequence[str]) -> bool:
-    return any(
-        family.set_of(n).descriptor.get("kind") == "random-ext" for n in names
-    )
-
-
 def _check_count_identities(
     family: Family,
-    chosen: tuple[str, ...],
     patterns: Sequence[tuple[int, ...]],
     windows: Sequence[int],
     atom_counts: Sequence[tuple[int, ...]],
@@ -146,11 +126,11 @@ def _check_count_identities(
             raise ValueError(
                 f"count identity failed at window {n}: the atoms hold {total} indices, not {n}"
             )
-    for i, name in enumerate(chosen):
-        s = family.set_of(name)
+    names = family.names
+    for i, (name, s) in enumerate(zip(names, family.sets)):
         kind = s.descriptor.get("kind")
-        if kind == "thin-ext" and sorted(s.descriptor["family"]) == sorted(set(chosen) - {name}):
-            _check_thinned_halves(i, chosen, patterns, windows, atom_counts)
+        if kind == "thin-ext" and sorted(s.descriptor["family"]) == sorted(set(names) - {name}):
+            _check_thinned_halves(i, names, patterns, windows, atom_counts)
         if s.count_hint is None:
             continue
         for j, n in enumerate(windows):
@@ -165,7 +145,7 @@ def _check_count_identities(
 
 def _check_thinned_halves(
     i: int,
-    chosen: tuple[str, ...],
+    names: tuple[str, ...],
     patterns: Sequence[tuple[int, ...]],
     windows: Sequence[int],
     atom_counts: Sequence[tuple[int, ...]],
@@ -174,8 +154,8 @@ def _check_thinned_halves(
     even-rank indices of each, so at every window and for every base
     pattern b over the others, |atom(b, 1)| = ceil((|atom(b, 0)| +
     |atom(b, 1)|) / 2).  This checks thin's prefix-parity kernel."""
-    others = chosen[:i] + chosen[i + 1:]
-    step = 1 << (len(chosen) - 1 - i)  # from a pattern to its bit-i-cleared twin
+    others = names[:i] + names[i + 1:]
+    step = 1 << (len(names) - 1 - i)  # from a pattern to its bit-i-cleared twin
     for p, bits in enumerate(patterns):
         if not bits[i]:
             continue
@@ -184,7 +164,7 @@ def _check_thinned_halves(
             if kept != want:
                 base = SignPattern(others, bits[:i] + bits[i + 1:]).label()
                 raise ValueError(
-                    f"count identity failed for member {chosen[i]} on pattern {base} at "
+                    f"count identity failed for member {names[i]} on pattern {base} at "
                     f"window {n}: it keeps {kept} of the pattern's {dropped + kept} indices, "
                     f"not {want}"
                 )
@@ -192,41 +172,41 @@ def _check_thinned_halves(
 
 def verify_independence(
     family: Family,
-    names: Optional[Sequence[str]] = None,
     schedule: WindowSchedule = DEFAULT_SCHEDULE,
     tol: Optional[Rational] = None,
     workers: int = 1,
 ) -> VerificationReport:
-    """Check every sign pattern over the chosen members on the schedule.
+    """Check every sign pattern over the family's members on the schedule.
 
     An atom passes when |empirical - expected| <= tol at the largest
     window and its own last-three-window spread is at most tol.  The
     default tolerance widens to 4/sqrt(N_max) when a randomized member
     is involved.  The 2**k atoms, for at most MAX_VERIFY_MEMBERS
-    members, come from atoms().  Counts that break an exact identity (see
+    members, come from atoms(); pass family.subfamily(names) to verify
+    some members only.  Counts that break an exact identity (see
     _check_count_identities) raise ValueError instead of a report.
     """
-    chosen = _resolve_names(family, names, MAX_VERIFY_MEMBERS)
+    leaves = atoms(family.sets)
     windows = schedule.windows()
     if tol is None:
-        tol_f = default_tolerance(windows[-1], _family_is_randomized(family, chosen))
+        randomized = any(s.descriptor.get("kind") == "random-ext" for s in family.sets)
+        tol_f = default_tolerance(windows[-1], randomized)
     else:
         tol_f = as_fraction(tol)
 
-    patterns = list(product((0, 1), repeat=len(chosen)))
-    declared = [family.density_of(n) for n in chosen]
-    atom_counts = window_counts(atoms([family.set_of(n) for n in chosen]), windows, workers)
-    _check_count_identities(family, chosen, patterns, windows, atom_counts)
+    patterns = list(product((0, 1), repeat=len(family)))
+    atom_counts = window_counts(leaves, windows, workers)
+    _check_count_identities(family, patterns, windows, atom_counts)
     reports = []
     all_pass = True
     for bits, counts in zip(patterns, atom_counts):
-        expected = atom_density(declared, bits)
+        expected = atom_density(family.densities, bits)
         densities = tuple(Fraction(c, n) for c, n in zip(counts, windows))
         dev, osc, ok = tail_check(densities, expected, tol_f)
         all_pass = all_pass and ok
         reports.append(
             AtomReport(
-                pattern=SignPattern(chosen, bits),
+                pattern=SignPattern(family.names, bits),
                 expected=expected,
                 windows=windows,
                 counts=counts,
@@ -238,18 +218,17 @@ def verify_independence(
             )
         )
 
-    diagnostics = []
-    for name in chosen:
-        s = family.set_of(name)
-        if isinstance(s, KWSet):
-            diagnostics.append(BandDiagnostic.of(name, s, windows[-1]))
-
+    diagnostics = tuple(
+        BandDiagnostic.of(name, s, windows[-1])
+        for name, s in zip(family.names, family.sets)
+        if isinstance(s, KWSet)
+    )
     return VerificationReport(
-        names=chosen,
+        names=family.names,
         schedule=schedule,
         tol=tol_f,
         atoms=tuple(reports),
-        band_diagnostics=tuple(diagnostics),
+        band_diagnostics=diagnostics,
         passed=all_pass,
     )
 
@@ -279,18 +258,22 @@ def _atom_numerators(densities: Sequence[Fraction]) -> tuple[list[int], int]:
     return nums, prod(p.denominator for p in densities)
 
 
-def field_elements(
-    family: Family, names: Optional[Sequence[str]] = None
-) -> list[FieldElement]:
-    """All 2**(2**k) elements of the finite field of sets generated by k
-    members, with exact expected densities."""
-    chosen = _resolve_names(family, names, MAX_FIELD_MEMBERS)
-    atoms, den = _atom_numerators([family.density_of(n) for n in chosen])
+def _check_field_size(family: Family) -> None:
+    if len(family) > MAX_FIELD_MEMBERS:
+        raise ValueError(f"at most {MAX_FIELD_MEMBERS} members supported here, got {len(family)}")
+
+
+def field_elements(family: Family) -> list[FieldElement]:
+    """All 2**(2**k) elements of the finite field of sets generated by
+    the family's k <= MAX_FIELD_MEMBERS members, with exact expected
+    densities."""
+    _check_field_size(family)
+    atoms, den = _atom_numerators(family.densities)
     values = [0] * (1 << len(atoms))
     for mask in range(1, len(values)):
         low = (mask & -mask).bit_length() - 1
         values[mask] = values[mask & (mask - 1)] + atoms[low]
-    return [FieldElement(chosen, mask, Fraction(v, den)) for mask, v in enumerate(values)]
+    return [FieldElement(family.names, mask, Fraction(v, den)) for mask, v in enumerate(values)]
 
 
 @dataclass(frozen=True)
@@ -323,12 +306,12 @@ class FieldValues:
         return ScanReport(self.names, d, tuple(cells), full_coverage_expected=full)
 
 
-def _field_values(family: Family, chosen: tuple[str, ...], max_values: int) -> FieldValues:
+def _field_values(family: Family, max_values: int) -> FieldValues:
     """Enumerate the subset sums of the atom numerators once, grouping
     equal atoms: j of c atoms of one value add j times it in comb(c, j)
     ways, so a family of many equal-density members stays cheap, while
     genuinely distinct atom values cap out at max_values sums."""
-    atoms, den = _atom_numerators([family.density_of(n) for n in chosen])
+    atoms, den = _atom_numerators(family.densities)
     sums = {0: 1}
     for value, count in sorted(Counter(atoms).items()):
         if len(sums) * (count + 1) > max_values:
@@ -343,13 +326,14 @@ def _field_values(family: Family, chosen: tuple[str, ...], max_values: int) -> F
                 t = s + j * value
                 grown[t] = grown.get(t, 0) + m * w
         sums = grown
-    return FieldValues(chosen, den, dict(sorted(sums.items())), max(atoms))
+    return FieldValues(family.names, den, dict(sorted(sums.items())), max(atoms))
 
 
-def field_values(family: Family, names: Optional[Sequence[str]] = None) -> FieldValues:
-    """The distinct expected densities over the field generated by at
-    most MAX_FIELD_MEMBERS members, with their multiplicities."""
-    return _field_values(family, _resolve_names(family, names, MAX_FIELD_MEMBERS), 1 << 20)
+def field_values(family: Family) -> FieldValues:
+    """The distinct expected densities over the field generated by the
+    family's at most MAX_FIELD_MEMBERS members, with their multiplicities."""
+    _check_field_size(family)
+    return _field_values(family, 1 << 20)
 
 
 # -- grid coverage of the field image -----------------------------------
@@ -376,17 +360,11 @@ class ScanReport:
         return tuple(c for c in self.cells if not c.hit)
 
 
-def image_density_scan(
-    family: Family,
-    delta: Rational,
-    names: Optional[Sequence[str]] = None,
-    max_values: int = 1 << 20,
-) -> ScanReport:
+def image_density_scan(family: Family, delta: Rational, max_values: int = 1 << 20) -> ScanReport:
     """Report which width-delta grid cells of [0,1] contain an expected
     field-element density, over any number of members (see
     FieldValues.scan; the enumeration stops past max_values sums).
     Full coverage is expected when the largest atom is below delta,
     i.e. when the product of max(p, 1-p) over the members is below it.
     """
-    chosen = _resolve_names(family, names, len(family.names))
-    return _field_values(family, chosen, max_values).scan(delta)
+    return _field_values(family, max_values).scan(delta)

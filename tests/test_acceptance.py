@@ -68,7 +68,7 @@ def test_acceptance_1_rotation_family_product_rule(kw3, sched_full):
 
 def test_acceptance_2_block_alignment_exact_shares():
     classical = [coded_independent_set(s, 4) for s in ("00", "01", "10")]
-    fam = block_transform(classical, names=("B0", "B1", "B2"))
+    fam = block_transform(classical)
     m0 = alignment_block(classical)
     ok = m0 == 8
     checked = 0

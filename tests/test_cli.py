@@ -787,6 +787,20 @@ def test_mistyped_schedule_count_fails_fast(tmp_path):
                            "limit of the 96-bit rotation arithmetic\n")
 
 
+def test_pack_past_the_member_cap_fails_fast(tmp_path):
+    # a pack's time, memory and report double with each member, so 19
+    # members is refused before any packing; --members still picks fewer
+    doc = {"family": [{"name": "G", "kind": "gap", "target": "0.9", "size": 19}]}
+    path = write_spec(tmp_path, doc)
+    done = _run_in_ten_seconds("pack", path, "--side", "0", "--target", "1/2")
+    assert done.returncode == 3
+    assert done.stderr == "error: at most 18 members supported here, got 19\n"
+    done = _run_in_ten_seconds("pack", path, "--side", "0", "--target", "1/2",
+                               "--members", "G0,G1,G2")
+    assert done.returncode == 0
+    assert done.stderr.startswith("pack: PASS")
+
+
 def test_expr_spec_declares_intersection_density(tmp_path, capsys):
     doc = {
         "family": [

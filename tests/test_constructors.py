@@ -33,7 +33,7 @@ from densfam import (
     kw_set,
     random_extension,
 )
-from densfam.constructors import _blocks
+from densfam.constructors import MAX_PACK_MEMBERS, _blocks
 from densfam.sets import CHUNK_BITS, SetBase, bits_to_mask, thin, window_counts
 
 rationals_01 = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
@@ -664,7 +664,7 @@ def test_greedy_pack_properties(ds, side, target):
 
 
 def test_greedy_pack_accepts_family(half_family):
-    result = greedy_atom_pack(half_family, 0, Fraction(2, 5))
+    result = greedy_atom_pack(half_family.densities, 0, Fraction(2, 5))
     assert result.total < Fraction(2, 5)
     assert result.certificate_ok()
 
@@ -676,6 +676,8 @@ def test_greedy_pack_validation():
         greedy_atom_pack([], 1, Fraction(1, 2))
     with pytest.raises(ValueError):
         greedy_atom_pack([Fraction(1, 2)], 1, Fraction(0))
+    with pytest.raises(ValueError, match="at most 18 members supported here, got 19"):
+        greedy_atom_pack([Fraction(1, 2)] * (MAX_PACK_MEMBERS + 1), 1, Fraction(1, 2))
 
 
 # -- family container ------------------------------------------------------------
@@ -696,6 +698,8 @@ def test_family_lookup_and_subfamily(kw_pair):
     assert kw_pair.density_of("A0") == Fraction(3, 10)
     sub = kw_pair.subfamily(["A1"])
     assert sub.names == ("A1",)
+    with pytest.raises(ValueError, match="names must be unique"):
+        kw_pair.subfamily(["A1", "A1"])
     with pytest.raises(KeyError):
         kw_pair.index("Z")
 

@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and every
-private module-level name is read somewhere in the package.
+"""Every name a package module or script imports is used in that file,
+and every private module-level name is read somewhere in the package.
 
 No linter is a test dependency, so this reads the sources with the
 standard ``ast`` module.  ``__init__.py`` is skipped for imports: its
@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "densfam"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "densfam"
+SCRIPTS = ROOT / "scripts"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,8 +31,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+                         + sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -13,6 +13,7 @@ from densfam import (
     from_elements,
     from_membership,
     intersect,
+    intersections,
     kw_family,
     nonindependence_witness,
     omega,
@@ -53,6 +54,23 @@ def test_bisect_family_targets(half_family, small_schedule):
     assert [m.name for m in rep.members] == ["E", "H"]
     # evens ∩ E = E so the first ratio is 1, a clear failure
     assert not rep.members[0].passed
+
+
+def test_intersections_in_bitmask_order_one_and_each():
+    multiples = [(f"M{d}", from_membership(lambda n, d=d: n % d == 0)) for d in (2, 3, 5)]
+    got = intersections(multiples)
+    assert [label for label, _ in got] == [
+        "M2", "M3", "M2&M3", "M5", "M2&M5", "M3&M5", "M2&M3&M5"]
+    n = 1000
+    for mask, (_, s) in enumerate(got, start=1):
+        ds = [d for i, d in enumerate((2, 3, 5)) if mask >> i & 1]
+        assert s.prefix_count(n) == sum(all(m % d == 0 for d in ds) for m in range(n))
+        top = mask.bit_length() - 1
+        if mask != 1 << top:
+            # one AND: the target without its last set, and that set
+            assert s.op == "intersect"
+            assert s.args == (got[(mask ^ 1 << top) - 1][1], multiples[top][1])
+    assert intersections([]) == []
 
 
 def test_bisect_empty_target_rejected(small_schedule):

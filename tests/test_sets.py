@@ -4,6 +4,7 @@ import gc
 import multiprocessing
 import os
 import weakref
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -65,6 +66,11 @@ def test_from_elements_membership_and_count():
     assert s.prefix_count(101) == 4
     below_4, below_9 = window_counts([s], (4, 9))[0]
     assert below_9 - below_4 == 2
+    assert as_pyset(from_elements([np.int64(3), 5, 5.0, np.int32(8)]), 10) == {3, 5, 8}
+    # a non-integral element is refused, not truncated
+    for elements in ([1.7, 2.2], [1, 2.5], [np.float64(3.5)]):
+        with pytest.raises(ValueError, match="elements must be integers"):
+            from_elements(elements)
 
 
 def test_complement_involution():
@@ -94,6 +100,11 @@ def test_scale_identity_factor():
 def test_scale_rejects_nonpositive():
     with pytest.raises(ValueError):
         scale(omega(), 0)
+    # a non-integral factor is refused, not truncated
+    for factor in (2.5, Fraction(5, 2), 0.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            scale(omega(), factor)
+    assert scale(omega(), np.int64(3)).descriptor["factor"] == 3
 
 
 def test_thin_of_omega_is_evens():

@@ -151,7 +151,7 @@ def test_verify_detects_complement_dependence(small_schedule):
 
 
 def test_verify_subset_of_members(kw_pair, small_schedule):
-    rep = verify_independence(kw_pair, names=["A1"], schedule=small_schedule)
+    rep = verify_independence(kw_pair.subfamily(["A1"]), schedule=small_schedule)
     assert len(rep.atoms) == 2
     assert rep.atoms[0].pattern.names == ("A1",)
 
@@ -168,14 +168,14 @@ def test_verify_member_cap():
 
 def test_verify_unknown_name(kw_pair, small_schedule):
     with pytest.raises(KeyError):
-        verify_independence(kw_pair, names=["A0", "Z"], schedule=small_schedule)
+        verify_independence(kw_pair.subfamily(["A0", "Z"]), schedule=small_schedule)
 
 
 def test_verify_default_tolerance_widens_for_randomized(kw_pair):
     sched = WindowSchedule(start=2000, ratio=Fraction(2), count=3)
     b, _ = random_extension(kw_pair, "A0", Fraction(1, 2), seed=5)
     fam = kw_pair.extended("B", b, Fraction(1, 2))
-    rep = verify_independence(fam, names=["A0", "B"], schedule=sched)
+    rep = verify_independence(fam.subfamily(["A0", "B"]), schedule=sched)
     n_max = sched.windows()[-1]
     assert rep.tol == max(Fraction(5, 1000), Fraction(4, 89))  # isqrt(8000) = 89
 
@@ -309,6 +309,8 @@ def test_field_member_cap():
     fam = exact_family(5)
     with pytest.raises(ValueError):
         field_elements(fam)
+    with pytest.raises(ValueError, match="at most 4 members supported here, got 5"):
+        field_values(fam)
     assert MAX_FIELD_MEMBERS == 4
 
 
