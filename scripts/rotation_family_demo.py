@@ -17,6 +17,7 @@ from densfam import (
     estimate_density,
     intersections,
     kw_family,
+    pattern_label,
     thin_extension,
     verify_independence,
 )
@@ -54,7 +55,7 @@ def main(argv=None) -> int:
     print(f"independence sweep over {2 ** len(fam.names)} sign patterns")
     worst = max(rep.atoms, key=lambda a: a.deviation)
     for a in rep.atoms:
-        print(f"  {a.pattern.label()}  expected {float(a.expected):.6f}"
+        print(f"  {pattern_label(rep.names, a.bits)}  expected {float(a.expected):.6f}"
               f"  measured {float(a.empirical):.6f}"
               f"  deviation {float(a.deviation):.2e}")
     print(f"  worst deviation {float(worst.deviation):.2e}"

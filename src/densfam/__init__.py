@@ -55,12 +55,12 @@ from .verify import (
     FieldElement,
     FieldValues,
     ScanReport,
-    SignPattern,
     VerificationReport,
     atoms,
     field_elements,
     field_values,
     image_density_scan,
+    pattern_label,
     verify_independence,
 )
 

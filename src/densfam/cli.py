@@ -66,7 +66,13 @@ from .specfile import (
     parse_tolerance,
     read_spec_file,
 )
-from .verify import MAX_VERIFY_MEMBERS, BandDiagnostic, field_values, verify_independence
+from .verify import (
+    MAX_VERIFY_MEMBERS,
+    BandDiagnostic,
+    field_values,
+    pattern_label,
+    verify_independence,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -113,8 +119,11 @@ def _distinct(names: list[str], what: str) -> list[str]:
 
 def _names_flag(text: str, flag: str) -> list[str]:
     """A comma-separated list of distinct names, each stripped, empty ones
-    dropped."""
-    return _distinct([n.strip() for n in text.split(",") if n.strip()], f"{flag} names")
+    dropped; a list with no name left is a parse error naming the flag."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    if not names:
+        raise SpecError(f"{flag} names no member")
+    return _distinct(names, f"{flag} names")
 
 
 def _named_set(spec: LoadedSpec, name: str) -> SetBase:
@@ -240,14 +249,14 @@ def cmd_verify(args) -> int:
 
     worst = max(rep.atoms, key=lambda a: a.deviation)
     rows = (
-        [a.pattern.label(), w, c, _decimal(d), _decimal(a.expected)]
+        [pattern_label(rep.names, a.bits), w, c, _decimal(d), _decimal(a.expected)]
         for a in rep.atoms
-        for w, c, d in zip(a.windows, a.counts, a.densities)
+        for w, c, d in zip(sched.windows(), a.counts, a.densities)
     )
     return _finish(
         args, spec, verification_json(rep), rep.passed,
         f"{_verdict(rep.passed)} ({len(rep.atoms)} patterns, tol {float(rep.tol):.6g}, "
-        f"worst deviation {float(worst.deviation):.6g} at {worst.pattern.label()})",
+        f"worst deviation {float(worst.deviation):.6g} at {pattern_label(rep.names, worst.bits)})",
         (["pattern", "window", "count", "density", "expected"], rows),
     )
 
@@ -292,11 +301,11 @@ def cmd_reap(args) -> int:
     if tol is None:
         tol = DEFAULT_TOL
     s = _named_set(spec, args.set)
-    if not args.targets and not args.intersections:
+    if not args.targets and args.intersections is None:
         raise ValueError("no targets: give target names or --intersections")
 
     targets: list[tuple[str, SetBase]] = []
-    if args.intersections:
+    if args.intersections is not None:
         names = _names_flag(args.intersections, "--intersections")
         if len(names) > MAX_VERIFY_MEMBERS:
             # 2**k - 1 targets: bound them as verify bounds its 2**k atoms
@@ -313,7 +322,7 @@ def cmd_reap(args) -> int:
     rows = (
         [m.name, w, mc, jc, _decimal(r)]
         for m in rep.members
-        for w, mc, jc, r in zip(m.windows, m.member_counts, m.joint_counts, m.ratios)
+        for w, mc, jc, r in zip(sched.windows(), m.member_counts, m.joint_counts, m.ratios)
     )
     return _finish(
         args, spec, {"set": args.set, **bisect_json(rep)}, rep.passed,
@@ -335,20 +344,15 @@ def cmd_extend(args) -> int:
     family = spec.require_family()
     sched = _resolve_schedule(spec, args)
     tol = _resolve_tol(spec, args)
-    base = family.subfamily(_names_flag(args.family, "--family")) if args.family else family
+    if args.family is not None:
+        family = family.subfamily(_names_flag(args.family, "--family"))
 
     if args.mode == "thin":
-        new_set = thin_extension(base)
-        descriptor = {
-            "name": args.name,
-            "kind": "thin-ext",
-            "family": list(base.names),
-        }
-        enlarged = base.extended(args.name, new_set, Fraction(1, 2))
+        new_set = thin_extension(family)
+        enlarged = family.extended(args.name, new_set, Fraction(1, 2))
         rep = verify_independence(enlarged, sched, tol, workers=args.workers)
         body = {
             "mode": "thin",
-            "descriptor": descriptor,
             "declared": rat(Fraction(1, 2)),
             "check": verification_json(rep),
         }
@@ -357,21 +361,12 @@ def cmd_extend(args) -> int:
     else:
         if not args.distinguished:
             raise ValueError("--distinguished is required for random mode")
-        seed = args.seed
-        if seed is None:
+        if args.seed is None:
             raise ValueError("--seed is required for random mode")
         target = _unit_flag(args.target, "--target")
-        new_set, params = random_extension(base, args.distinguished, target, seed)
-        descriptor = {
-            "name": args.name,
-            "kind": "random-ext",
-            "family": list(base.names),
-            "distinguished": args.distinguished,
-            "target": str(target),
-            "seed": seed,
-        }
+        new_set, params = random_extension(family, args.distinguished, target, args.seed)
         windows = sched.windows()
-        joint = intersect(new_set, base.set_of(args.distinguished))
+        joint = intersect(new_set, family.set_of(args.distinguished))
         own, joint_counts = window_counts([new_set, joint], windows, args.workers)
         est = DensityEstimate.of(windows, own, tol if tol is not None
                                  else default_tolerance(windows[-1], True))
@@ -379,7 +374,6 @@ def cmd_extend(args) -> int:
                                params.target * params.base_density, params.eps / 2)
         body = {
             "mode": "random",
-            "descriptor": descriptor,
             "params": params.as_dict(),
             "estimate": estimate_json(est),
             "witness": witness_json(wit),
@@ -392,6 +386,9 @@ def cmd_extend(args) -> int:
             f"density estimate {est.status}"
         )
 
+    # the set's own descriptor, less what the report shows under rng and params
+    d = {k: v for k, v in new_set.descriptor.items() if k not in ("algorithm", "params")}
+    body["descriptor"] = {"name": args.name, **d}
     return _finish(args, spec, body, passed, f"{_verdict(passed)} ({summary})",
                    label=f"extend[{args.mode}]")
 
@@ -402,8 +399,9 @@ def cmd_extend(args) -> int:
 def cmd_pack(args) -> int:
     spec = _load(args)
     family = spec.require_family()
-    base = family.subfamily(_names_flag(args.members, "--members")) if args.members else family
-    result = greedy_atom_pack(base.densities, args.side, _unit_flag(args.target, "--target"))
+    if args.members is not None:
+        family = family.subfamily(_names_flag(args.members, "--members"))
+    result = greedy_atom_pack(family.densities, args.side, _unit_flag(args.target, "--target"))
 
     passed = result.certificate_ok()
     rows = (

@@ -20,7 +20,7 @@ certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, product
 from math import factorial
@@ -49,7 +49,6 @@ class Family:
     names: tuple[str, ...]
     sets: tuple[SetBase, ...]
     densities: tuple[Fraction, ...]
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.names) == 0:
@@ -86,16 +85,10 @@ class Family:
             tuple(self.names[i] for i in idx),
             tuple(self.sets[i] for i in idx),
             tuple(self.densities[i] for i in idx),
-            dict(self.meta),
         )
 
     def extended(self, name: str, s: SetBase, density: Fraction) -> "Family":
-        return Family(
-            self.names + (name,),
-            self.sets + (s,),
-            self.densities + (density,),
-            dict(self.meta),
-        )
+        return Family(self.names + (name,), self.sets + (s,), self.densities + (density,))
 
 
 def _default_names(k: int, prefix: str = "A") -> tuple[str, ...]:
@@ -369,20 +362,14 @@ def alignment_block(
 
 def block_transform(classical: Sequence[SetBase]) -> Family:
     """Parity-transform a finite list of classical sets into a family
-    B0, B1, ... of density-1/2 sets; exact equal block shares kick in at
-    the alignment block recorded in the family's meta, searched up to
-    block MAX_ALIGNMENT_BLOCK."""
+    B0, B1, ... of density-1/2 sets.  Exact equal block shares kick in at
+    alignment_block(classical); when that is None, the rank never became
+    full up to block MAX_ALIGNMENT_BLOCK and equal block shares are not
+    guaranteed."""
     if len(classical) == 0:
         raise ValueError("family must be nonempty")
     sets = tuple(BlockParitySet(c) for c in classical)
-    m0 = alignment_block(classical)
-    meta = {"alignment_block": m0}
-    if m0 is None:
-        meta["alignment_note"] = (
-            f"indicator rank never reached {len(classical)} up to block {MAX_ALIGNMENT_BLOCK}; "
-            "equal block shares are not guaranteed"
-        )
-    return Family(_default_names(len(sets), "B"), sets, tuple(Fraction(1, 2) for _ in sets), meta)
+    return Family(_default_names(len(sets), "B"), sets, tuple(Fraction(1, 2) for _ in sets))
 
 
 # -- biased-coin randomized extension ----------------------------------
@@ -491,7 +478,8 @@ def gap_family(target: Rational, size: int) -> Family:
     of thresholds stays at least `target`; any field element either
     contains the all-members intersection (density >= product) or
     misses it (density <= 1 - product), leaving the open gap
-    (1 - product, product) empty.  Requires target in (1/2, 1).
+    (1 - product, product) empty; the product is math.prod of the
+    family's densities.  Requires target in (1/2, 1).
     """
     p = as_fraction(target)
     if not Fraction(1, 2) < p < 1:
@@ -502,17 +490,10 @@ def gap_family(target: Rational, size: int) -> Family:
     # band fails at its first unguardable threshold, not after the search
     radicands = filter(fx.is_square_free, count(2))
     sets = []
-    declared = []
     for n, radicand in zip(range(size), radicands):
         thr = fx.iterated_sqrt_fixed(p, n + 1)
-        d = Fraction(thr, fx.MOD)
-        sets.append(KWSet(radicand, d, thr_fixed=thr))
-        declared.append(d)
-    prod = Fraction(1)
-    for d in declared:
-        prod *= d
-    meta = {"gap_target": p, "threshold_product": prod}
-    return Family(_default_names(size, "G"), tuple(sets), tuple(declared), meta)
+        sets.append(KWSet(radicand, Fraction(thr, fx.MOD), thr_fixed=thr))
+    return Family(_default_names(size, "G"), tuple(sets), tuple(s.declared for s in sets))
 
 
 # -- greedy pattern packing below a density budget ----------------------

@@ -31,7 +31,6 @@ from .verify import atoms
 @dataclass(frozen=True)
 class BisectMemberReport:
     name: str
-    windows: tuple[int, ...]
     member_counts: tuple[int, ...]
     joint_counts: tuple[int, ...]
     ratios: tuple[Fraction, ...]
@@ -81,7 +80,6 @@ def bisect_check(
     counts = window_counts(members + [intersect(s, b) for b in members], windows, workers)
     half = Fraction(1, 2)
     reports = []
-    all_pass = True
     for (name, _), member_counts, joint_counts in zip(targets, counts, counts[len(targets):]):
         if member_counts[0] == 0:
             raise ValueError(
@@ -89,11 +87,9 @@ def bisect_check(
             )
         ratios = tuple(Fraction(j, m) for j, m in zip(joint_counts, member_counts))
         dev, osc, ok = tail_check(ratios, half, tol_f)
-        all_pass = all_pass and ok
         reports.append(
             BisectMemberReport(
                 name=name,
-                windows=windows,
                 member_counts=member_counts,
                 joint_counts=joint_counts,
                 ratios=ratios,
@@ -103,7 +99,8 @@ def bisect_check(
                 passed=ok,
             )
         )
-    return BisectReport(schedule=schedule, tol=tol_f, members=tuple(reports), passed=all_pass)
+    return BisectReport(schedule=schedule, tol=tol_f, members=tuple(reports),
+                        passed=all(m.passed for m in reports))
 
 
 def thin_extension(family: Family) -> SetBase:
@@ -118,9 +115,16 @@ def thin_extension(family: Family) -> SetBase:
     set is that node's chunks under the family's descriptor and carries no
     counting shortcut; its counts come from actual membership masks,
     which keeps count cross-checks meaningful.
+
+    The set records the family's sets as ``thins``: verify_independence
+    checks the ceiling identity for it exactly when the other members it
+    verifies are those same set objects, in any order.  Names would not
+    do: two families may name different sets alike.
     """
-    descriptor = {"kind": "thin-ext", "family": list(family.names)}
-    return SetBase(descriptor, chunk_fn=thin(*atoms(family.sets)).chunk_mask)
+    ext = SetBase({"kind": "thin-ext", "family": list(family.names)},
+                  chunk_fn=thin(*atoms(family.sets)).chunk_mask)
+    ext.thins = family.sets
+    return ext
 
 
 @dataclass(frozen=True)

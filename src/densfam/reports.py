@@ -80,7 +80,7 @@ def verification_json(rep: VerificationReport) -> dict:
         "tol": rat(rep.tol),
         "atoms": [
             {
-                "pattern": {n: b for n, b in zip(a.pattern.names, a.pattern.bits)},
+                "pattern": dict(zip(rep.names, a.bits)),
                 "expected": rat(a.expected),
                 "counts": list(a.counts),
                 "empirical": rat(a.empirical),

@@ -349,10 +349,12 @@ def thin(*parts: SetBase) -> SetBase:
     an even count of S and S & ~P after an odd one, for all parts in one
     numpy pass.  A chunk needs only each part's count parity below it, and
     leaves the parity below the next chunk, so the set keeps these for the
-    last few chunk indices it reached: a forward sweep, and a second
-    reader such as a scale that trails it, gets each chunk's starting
-    parities for free.  Any other chunk, such as the first of a worker's
-    range, takes them from one window_counts sweep of all parts.
+    last _THIN_PARITIES chunk indices it reached, two per reader: a forward
+    sweep and one reader that trails it, such as a scale, get each chunk's
+    starting parities for free.  Any other chunk, such as the first of a
+    worker's range, takes them from one window_counts sweep of all parts.
+    Three readers, such as two scales, evict each other's parities, so
+    their chunks take that sweep and the work grows as N squared.
     """
     s, *more = parts
     hint = None if more else lambda n: (s.prefix_count(n) + 1) // 2

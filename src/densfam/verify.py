@@ -33,21 +33,9 @@ MAX_VERIFY_MEMBERS = 8
 MAX_FIELD_MEMBERS = 4
 
 
-@dataclass(frozen=True)
-class SignPattern:
-    """Membership/complement selector over an ordered tuple of names."""
-
-    names: tuple[str, ...]
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.names) != len(self.bits):
-            raise ValueError("pattern arity mismatch")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("pattern bits must be 0 or 1")
-
-    def label(self) -> str:
-        return ",".join(f"{n}={b}" for n, b in zip(self.names, self.bits))
+def pattern_label(names: Sequence[str], bits: Sequence[int]) -> str:
+    """The sign pattern as "A=1,B=0": each member's name and bit."""
+    return ",".join(f"{n}={b}" for n, b in zip(names, bits))
 
 
 def atoms(sets: Sequence[SetBase]) -> list[SetExpr]:
@@ -67,9 +55,12 @@ def atoms(sets: Sequence[SetBase]) -> list[SetExpr]:
 
 @dataclass(frozen=True)
 class AtomReport:
-    pattern: SignPattern
+    """One sign-pattern atom of a VerificationReport: bits[i] is 1 for
+    the report's member names[i] and 0 for its complement; counts and
+    densities run over the report's schedule windows."""
+
+    bits: tuple[int, ...]
     expected: Fraction
-    windows: tuple[int, ...]
     counts: tuple[int, ...]
     densities: tuple[Fraction, ...]
     empirical: Fraction
@@ -116,20 +107,21 @@ def _check_count_identities(
     """Raise ValueError unless the swept atom counts add up exactly: to
     each window; over the atoms with a member's bit set, to that
     member's count hint, for every member that has one; and, for a thin
-    extension of the other members, as _check_thinned_halves says.  The
-    atoms come from chunk kernels, and no hint reads the member's own
-    chunks, so a wrong chunk bit shows up here on any window it falls
-    below."""
+    extension of the other members' sets (the same objects, in any order),
+    as _check_thinned_halves says.  The atoms come from chunk kernels, and
+    no hint reads the member's own chunks, so a wrong chunk bit shows up
+    here on any window it falls below."""
     for j, n in enumerate(windows):
         total = sum(counts[j] for counts in atom_counts)
         if total != n:
             raise ValueError(
                 f"count identity failed at window {n}: the atoms hold {total} indices, not {n}"
             )
-    names = family.names
-    for i, (name, s) in enumerate(zip(names, family.sets)):
-        kind = s.descriptor.get("kind")
-        if kind == "thin-ext" and sorted(s.descriptor["family"]) == sorted(set(names) - {name}):
+    names, sets = family.names, family.sets
+    for i, (name, s) in enumerate(zip(names, sets)):
+        thins = getattr(s, "thins", None)  # set by thin_extension
+        others = sets[:i] + sets[i + 1:]
+        if thins is not None and Counter(map(id, thins)) == Counter(map(id, others)):
             _check_thinned_halves(i, names, patterns, windows, atom_counts)
         if s.count_hint is None:
             continue
@@ -162,7 +154,7 @@ def _check_thinned_halves(
         for n, dropped, kept in zip(windows, atom_counts[p - step], atom_counts[p]):
             want = (dropped + kept + 1) // 2
             if kept != want:
-                base = SignPattern(others, bits[:i] + bits[i + 1:]).label()
+                base = pattern_label(others, bits[:i] + bits[i + 1:])
                 raise ValueError(
                     f"count identity failed for member {names[i]} on pattern {base} at "
                     f"window {n}: it keeps {kept} of the pattern's {dropped + kept} indices, "
@@ -198,17 +190,14 @@ def verify_independence(
     atom_counts = window_counts(leaves, windows, workers)
     _check_count_identities(family, patterns, windows, atom_counts)
     reports = []
-    all_pass = True
     for bits, counts in zip(patterns, atom_counts):
         expected = atom_density(family.densities, bits)
         densities = tuple(Fraction(c, n) for c, n in zip(counts, windows))
         dev, osc, ok = tail_check(densities, expected, tol_f)
-        all_pass = all_pass and ok
         reports.append(
             AtomReport(
-                pattern=SignPattern(family.names, bits),
+                bits=bits,
                 expected=expected,
-                windows=windows,
                 counts=counts,
                 densities=densities,
                 empirical=densities[-1],
@@ -229,7 +218,7 @@ def verify_independence(
         tol=tol_f,
         atoms=tuple(reports),
         band_diagnostics=diagnostics,
-        passed=all_pass,
+        passed=all(a.passed for a in reports),
     )
 
 
@@ -242,7 +231,6 @@ class FieldElement:
     is the integer whose binary digits are the pattern bits, least
     member first."""
 
-    names: tuple[str, ...]
     atom_mask: int
     expected: Fraction
 
@@ -273,7 +261,7 @@ def field_elements(family: Family) -> list[FieldElement]:
     for mask in range(1, len(values)):
         low = (mask & -mask).bit_length() - 1
         values[mask] = values[mask & (mask - 1)] + atoms[low]
-    return [FieldElement(family.names, mask, Fraction(v, den)) for mask, v in enumerate(values)]
+    return [FieldElement(mask, Fraction(v, den)) for mask, v in enumerate(values)]
 
 
 @dataclass(frozen=True)

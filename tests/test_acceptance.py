@@ -3,6 +3,7 @@ tolerances.  Run with `pytest tests/test_acceptance.py -s` to see one
 PASS/FAIL line per criterion.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -147,7 +148,7 @@ def test_acceptance_5_field_image_exact(kw3):
     sym_ok = all(els[m ^ 255] == 1 - v for m, v in els.items())
 
     g = gap_family(Fraction(9, 10), 4)
-    prod = g.meta["threshold_product"]
+    prod = math.prod(g.densities)
     gimg = [e.expected for e in field_elements(g)]
     gap_ok = all(not (1 - prod < v < prod) for v in gimg)
 

@@ -579,6 +579,28 @@ def test_thin_parity_error_breaks_the_thinning_identity(tmp_path, capsys, monkey
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("names", [["A2", "T", "A0"], ["T", "A0", "A2"]],
+                         ids=["thin-ext-between", "thin-ext-first"])
+def test_thin_parity_error_breaks_the_identity_wherever_the_thin_ext_sits(
+        tmp_path, capsys, monkeypatch, names):
+    # T thins A0 and A2 only, and is checked as the same sets' thinning
+    # in any member order, not just last and in its own order
+    real = reaping.thin
+
+    def flipped(*parts):
+        t = real(*parts)
+        return SetBase(t.descriptor, chunk_fn=lambda ci: t.chunk_mask(ci) | (1 << 12_345))
+
+    monkeypatch.setattr(reaping, "thin", flipped)
+    doc = {**KW3, "family": KW3["family"] + [{"name": "T", "kind": "thin-ext",
+                                              "family": ["A0", "A2"]}]}
+    code = main(["verify", write_spec(tmp_path, doc), *names, "--schedule", "20000,2,3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert "count identity failed for member T on pattern " in err
+
+
 @pytest.mark.parametrize("command", [["construct"], ["image"],
                                      ["pack", "--side", "1", "--target", "0.3"]],
                          ids=["construct", "image", "pack"])
@@ -1053,6 +1075,18 @@ def test_repeated_name_in_a_name_list_is_parse_error_naming_the_flag(tmp_path, c
                                                                      command, message):
     assert main([command[0], write_spec(tmp_path, KW3), *command[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["", ",", " , "], ids=["empty", "comma", "spaced-comma"])
+@pytest.mark.parametrize("command, flag", [
+    (["reap", "A0", "A1", "--intersections"], "--intersections"),
+    (["extend", "--mode", "thin", "--name", "T", "--family"], "--family"),
+    (["pack", "--side", "0", "--target", "0.5", "--members"], "--members"),
+], ids=["reap-intersections", "extend-family", "pack-members"])
+def test_empty_name_list_is_parse_error_naming_the_flag(tmp_path, capsys, command, flag, value):
+    # an empty list is not "all members", and not a silently dropped flag
+    assert main([command[0], write_spec(tmp_path, KW3), *command[1:], value]) == 2
+    assert capsys.readouterr().err == f"error: {flag} names no member\n"
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["negative", "2**128"])

@@ -3,6 +3,7 @@ parity transforms, randomized extensions, gap families, pattern packing.
 """
 
 import dataclasses
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -382,7 +383,7 @@ def test_block_transform_family():
     classical = [coded_independent_set(s, 4) for s in ("00", "01")]
     fam = block_transform(classical)
     assert fam.densities == (Fraction(1, 2), Fraction(1, 2))
-    assert fam.meta["alignment_block"] is not None
+    assert alignment_block(classical) is not None
 
 
 def race(call, threads=4):
@@ -568,7 +569,7 @@ def test_sweep_prefix_agrees_across_workers(chunks):
 
 def test_gap_family_product_exceeds_target():
     fam = gap_family(Fraction(9, 10), 4)
-    prod = fam.meta["threshold_product"]
+    prod = math.prod(fam.densities)
     assert prod >= Fraction(9, 10)
     # frozen decimal from the fixed-point construction
     assert f"{float(prod):.12f}" == "0.905946085100"

@@ -84,8 +84,8 @@ def test_bisect_counts_are_windowed(small_schedule):
     rep = bisect_check(thirds, [("all", omega())], small_schedule,
                        tol=Fraction(1, 100))
     m = rep.members[0]
-    assert m.windows == small_schedule.windows()
-    assert len(m.ratios) == len(m.windows)
+    assert rep.schedule.windows() == small_schedule.windows()
+    assert len(m.ratios) == len(rep.schedule.windows())
     assert not rep.passed  # a third is far from a half
 
 

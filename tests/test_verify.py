@@ -1,5 +1,6 @@
 """Sign-pattern atoms, product-rule verification, field images."""
 
+import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +14,6 @@ import oracles
 from densfam import (
     Family,
     SetBase,
-    SignPattern,
     WindowSchedule,
     atom_density,
     atoms,
@@ -27,6 +27,7 @@ from densfam import (
     image_density_scan,
     kw_family,
     kw_set,
+    pattern_label,
     random_extension,
     thin,
     thin_extension,
@@ -48,15 +49,7 @@ def exact_family(k):
 
 
 def test_sign_pattern_label():
-    p = SignPattern(("A", "B"), (1, 0))
-    assert p.label() == "A=1,B=0"
-
-
-def test_sign_pattern_validation():
-    with pytest.raises(ValueError):
-        SignPattern(("A",), (1, 0))
-    with pytest.raises(ValueError):
-        SignPattern(("A",), (2,))
+    assert pattern_label(("A", "B"), (1, 0)) == "A=1,B=0"
 
 
 def test_atom_membership(half_family):
@@ -130,7 +123,7 @@ def test_verify_kw_pair_passes(kw_pair):
     sched = WindowSchedule(start=10_000, ratio=Fraction(2), count=4)
     rep = verify_independence(kw_pair, schedule=sched)
     assert rep.passed
-    assert {a.pattern.bits for a in rep.atoms} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert {a.bits for a in rep.atoms} == {(0, 0), (0, 1), (1, 0), (1, 1)}
     # rotation members get orbit band diagnostics
     assert len(rep.band_diagnostics) == 2
     for b in rep.band_diagnostics:
@@ -144,7 +137,7 @@ def test_verify_detects_complement_dependence(small_schedule):
     rep = verify_independence(fam, schedule=small_schedule)
     assert not rep.passed
     # the all-ones atom is empty but the product rule expects 0.21
-    bad = next(a for a in rep.atoms if a.pattern.bits == (1, 1))
+    bad = next(a for a in rep.atoms if a.bits == (1, 1))
     assert bad.empirical == 0
     assert bad.expected == Fraction(21, 100)
     assert not bad.passed
@@ -153,7 +146,7 @@ def test_verify_detects_complement_dependence(small_schedule):
 def test_verify_subset_of_members(kw_pair, small_schedule):
     rep = verify_independence(kw_pair.subfamily(["A1"]), schedule=small_schedule)
     assert len(rep.atoms) == 2
-    assert rep.atoms[0].pattern.names == ("A1",)
+    assert rep.names == ("A1",)
 
 
 def test_verify_member_cap():
@@ -219,6 +212,17 @@ def test_verify_raises_when_a_block_chunk_breaks_its_closed_form(kind):
     with pytest.raises(ValueError, match=r"count identity failed for member M at window 2000: "
                                          r"its atoms count \d+, its count hint \d+"):
         verify_independence(fam, schedule=sched)
+
+
+def test_thin_extension_of_a_like_named_family_gets_no_halves_check():
+    # f2 names its members A0 and A1 as f1 does, but T thins f1's sets: no
+    # identity ties T to f2's atoms, so verify reports instead of raising
+    f1 = kw_family([2, 3], ["0.3", "0.5"])
+    f2 = kw_family([5, 7], ["0.3", "0.5"])
+    rep = verify_independence(f2.extended("T", thin_extension(f1), Fraction(1, 2)),
+                              WindowSchedule(10_000, 2, 4))
+    assert rep.names == ("A0", "A1", "T")
+    assert len(rep.atoms) == 8
 
 
 def _kw3():
@@ -357,7 +361,7 @@ def test_scan_gap_family_avoids_center(small_schedule):
     from densfam import gap_family
 
     fam = gap_family(Fraction(9, 10), 3)
-    prod = fam.meta["threshold_product"]
+    prod = math.prod(fam.densities)
     rep = image_density_scan(fam, Fraction(1, 20))
     # cells wholly inside the open gap interval have no witness
     inside = [c for c in rep.cells if c.lo > 1 - prod and c.hi < prod]
