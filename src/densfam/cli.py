@@ -158,8 +158,11 @@ def _emit(text: str, args) -> None:
         out_dir = os.environ.get(OUT_DIR_ENV)
         if out_dir and not os.path.isabs(path):
             path = os.path.join(out_dir, path)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise SpecError(f"cannot write --out {path}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -507,7 +510,7 @@ def main(argv=None) -> int:
     try:
         # looked up per call, so a wrapper installed on cmd_* is honored
         return globals()[f"cmd_{args.command}"](args)
-    except (SpecError, FileNotFoundError) as e:
+    except SpecError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, KeyError, ZeroDivisionError) as e:

@@ -116,10 +116,14 @@ def thin_extension(family: Family) -> SetBase:
     counting shortcut; its counts come from actual membership masks,
     which keeps count cross-checks meaningful.
 
-    The set records the family's sets as ``thins``: verify_independence
-    checks the ceiling identity for it exactly when the other members it
-    verifies are those same set objects, in any order.  Names would not
-    do: two families may name different sets alike.
+    The set records the family's sets as ``thins``, and
+    verify_independence checks it wherever it sits.  It finds the verified
+    members among those set objects, S (names would not do: two families
+    may name different sets alike), and groups the atom counts by the bits
+    of S and of this set.  A group is m = 2**(k - |S|) thinned atoms, so
+    of its c indices the set keeps from ceil(c/2) to floor((c + m)/2):
+    the exact ceiling identity when S holds all k sets, a looser bound as
+    m grows, and with S empty a bound on the set's own count.
     """
     ext = SetBase({"kind": "thin-ext", "family": list(family.names)},
                   chunk_fn=thin(*atoms(family.sets)).chunk_mask)

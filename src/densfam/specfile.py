@@ -81,8 +81,14 @@ def parse_spec_text(text: str) -> dict:
 
 
 def read_spec_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise SpecError(f"cannot read spec {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise SpecError(f"spec {path} is not UTF-8: byte {e.start} {e.reason}") from None
+    return parse_spec_text(text)
 
 
 def _need(entry: dict, key: str, name: str):

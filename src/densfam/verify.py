@@ -104,25 +104,24 @@ def _check_count_identities(
     windows: Sequence[int],
     atom_counts: Sequence[tuple[int, ...]],
 ) -> None:
-    """Raise ValueError unless the swept atom counts add up exactly: to
-    each window; over the atoms with a member's bit set, to that
-    member's count hint, for every member that has one; and, for a thin
-    extension of the other members' sets (the same objects, in any order),
-    as _check_thinned_halves says.  The atoms come from chunk kernels, and
-    no hint reads the member's own chunks, so a wrong chunk bit shows up
-    here on any window it falls below."""
+    """Raise ValueError unless the swept atom counts add up: to each
+    window; over the atoms with a member's bit set, to its count hint,
+    if it has one; and, for a thin extension, by _check_thinning's
+    grouped identity, which is exact when every set it thins is verified
+    and whose slack m doubles with each one that is not.  The atoms come
+    from chunk kernels, and no hint reads the member's own chunks, so a
+    wrong chunk bit shows up here on any window it falls below.  A
+    random-ext member, or an expr member with no count hint, has no
+    second count to meet."""
     for j, n in enumerate(windows):
         total = sum(counts[j] for counts in atom_counts)
         if total != n:
             raise ValueError(
                 f"count identity failed at window {n}: the atoms hold {total} indices, not {n}"
             )
-    names, sets = family.names, family.sets
-    for i, (name, s) in enumerate(zip(names, sets)):
-        thins = getattr(s, "thins", None)  # set by thin_extension
-        others = sets[:i] + sets[i + 1:]
-        if thins is not None and Counter(map(id, thins)) == Counter(map(id, others)):
-            _check_thinned_halves(i, names, patterns, windows, atom_counts)
+    for i, (name, s) in enumerate(zip(family.names, family.sets)):
+        if getattr(s, "thins", None) is not None:  # set by thin_extension
+            _check_thinning(i, family, patterns, windows, atom_counts)
         if s.count_hint is None:
             continue
         for j, n in enumerate(windows):
@@ -135,30 +134,35 @@ def _check_count_identities(
                 )
 
 
-def _check_thinned_halves(
+def _check_thinning(
     i: int,
-    names: tuple[str, ...],
+    family: Family,
     patterns: Sequence[tuple[int, ...]],
     windows: Sequence[int],
     atom_counts: Sequence[tuple[int, ...]],
 ) -> None:
-    """Member i thins the atoms of the other members, keeping the
-    even-rank indices of each, so at every window and for every base
-    pattern b over the others, |atom(b, 1)| = ceil((|atom(b, 0)| +
-    |atom(b, 1)|) / 2).  This checks thin's prefix-parity kernel."""
-    others = names[:i] + names[i + 1:]
-    step = 1 << (len(names) - 1 - i)  # from a pattern to its bit-i-cleared twin
-    for p, bits in enumerate(patterns):
-        if not bits[i]:
-            continue
-        for n, dropped, kept in zip(windows, atom_counts[p - step], atom_counts[p]):
-            want = (dropped + kept + 1) // 2
-            if kept != want:
-                base = pattern_label(others, bits[:i] + bits[i + 1:])
+    """Member i keeps ceil(c/2) of the c indices below n of each atom of
+    the k sets it thins.  Over S, the verified members among those sets
+    (matched by object identity, each set once), a pattern joins m =
+    2**(k - |S|) such atoms, so member i keeps from ceil(c/2) to
+    floor((c + m)/2) of its c indices, wherever member i sits."""
+    thinned = Counter(map(id, family.sets[i].thins))
+    ids = list(map(id, family.sets))
+    shared = [j for j, x in enumerate(ids) if ids[:j].count(x) < thinned[x]]
+    m = 1 << (len(family.sets[i].thins) - len(shared))
+    sums: dict[tuple[int, ...], list[int]] = {}
+    for bits, counts in zip(patterns, atom_counts):
+        key = tuple(bits[j] for j in shared + [i])
+        sums[key] = [a + c for a, c in zip(sums.get(key, [0] * len(windows)), counts)]
+    for base in product((0, 1), repeat=len(shared)):
+        for n, dropped, kept in zip(windows, sums[base + (0,)], sums[base + (1,)]):
+            lo, hi = (dropped + kept + 1) // 2, (dropped + kept + m) // 2
+            if not lo <= kept <= hi:
+                label = pattern_label([family.names[j] for j in shared], base) or "(none)"
                 raise ValueError(
-                    f"count identity failed for member {names[i]} on pattern {base} at "
+                    f"count identity failed for member {family.names[i]} on pattern {label} at "
                     f"window {n}: it keeps {kept} of the pattern's {dropped + kept} indices, "
-                    f"not {want}"
+                    f"not {lo if lo == hi else f'{lo} to {hi}'}"
                 )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from densfam import Family, WindowSchedule, from_elements, kw_family
+from densfam import Family, WindowSchedule, kw_family
 
 
 @pytest.fixture(scope="session")

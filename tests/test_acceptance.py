@@ -13,7 +13,6 @@ import pytest
 import densfam.fixedpoint as fx
 import oracles
 from densfam import (
-    ExtensionParams,
     WindowSchedule,
     alignment_block,
     atoms,

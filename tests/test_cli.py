@@ -83,8 +83,20 @@ def test_malformed_json_is_parse_error(tmp_path):
     assert main(["verify", str(p)]) == 2
 
 
-def test_missing_file_is_parse_error(tmp_path):
-    assert main(["verify", str(tmp_path / "nope.json")]) == 2
+@pytest.mark.parametrize("case", ["missing", "spec-is-dir", "not-utf8", "out-is-dir"])
+def test_missing_file_is_parse_error(tmp_path, capsys, case):
+    # an unreadable spec or unwritable --out is named on one error line
+    spec, out = str(tmp_path / "nope.json"), []
+    if case == "spec-is-dir":
+        spec = str(tmp_path)
+    elif case == "not-utf8":
+        (tmp_path / "nope.json").write_bytes(b'{"family": [], "note": "\xff"}')
+    elif case == "out-is-dir":
+        spec, out = write_spec(tmp_path, KW3), ["--out", str(tmp_path)]
+    assert main(["verify", spec, *out]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: ")
+    assert ("--out " + str(tmp_path) if out else spec) in err
 
 
 def test_empty_family_is_parse_error(tmp_path, capsys):
@@ -579,12 +591,18 @@ def test_thin_parity_error_breaks_the_thinning_identity(tmp_path, capsys, monkey
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("names", [["A2", "T", "A0"], ["T", "A0", "A2"]],
-                         ids=["thin-ext-between", "thin-ext-first"])
+@pytest.mark.parametrize("names", [["A2", "T", "A0"], ["T", "A0", "A2"], ["A0", "A1", "A2", "T"],
+                                   ["A0", "T"], ["T"], ["A1", "T"], ["A2", "T", "A1"]],
+                         ids=["thin-ext-between", "thin-ext-first", "all-members", "one-thinned",
+                              "thin-ext-alone", "one-unthinned", "thinned-and-unthinned"])
 def test_thin_parity_error_breaks_the_identity_wherever_the_thin_ext_sits(
         tmp_path, capsys, monkeypatch, names):
-    # T thins A0 and A2 only, and is checked as the same sets' thinning
-    # in any member order, not just last and in its own order
+    # T thins A0 and A2 only; beside any verified members, in any order,
+    # its counts over the patterns of the thinned ones it meets are bounded
+    doc = {**KW3, "family": KW3["family"] + [{"name": "T", "kind": "thin-ext",
+                                              "family": ["A0", "A2"]}]}
+    argv = ["verify", write_spec(tmp_path, doc), *names, "--prefix", "1000000"]
+    assert main(argv) == 0
     real = reaping.thin
 
     def flipped(*parts):
@@ -592,11 +610,9 @@ def test_thin_parity_error_breaks_the_identity_wherever_the_thin_ext_sits(
         return SetBase(t.descriptor, chunk_fn=lambda ci: t.chunk_mask(ci) | (1 << 12_345))
 
     monkeypatch.setattr(reaping, "thin", flipped)
-    doc = {**KW3, "family": KW3["family"] + [{"name": "T", "kind": "thin-ext",
-                                              "family": ["A0", "A2"]}]}
-    code = main(["verify", write_spec(tmp_path, doc), *names, "--schedule", "20000,2,3"])
+    capsys.readouterr()
+    assert main(argv) == 3
     err = capsys.readouterr().err
-    assert code == 3
     assert "Traceback" not in err
     assert "count identity failed for member T on pattern " in err
 

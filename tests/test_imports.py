@@ -1,5 +1,6 @@
-"""Every name a package module or script imports is used in that file,
-and every private module-level name is read somewhere in the package.
+"""Every name a package module, script or test file imports is used in
+that file, and every private module-level name is read somewhere in the
+package.
 
 No linter is a test dependency, so this reads the sources with the
 standard ``ast`` module.  ``__init__.py`` is skipped for imports: its
@@ -14,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "densfam"
 SCRIPTS = ROOT / "scripts"
+TESTS = ROOT / "tests"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,7 +34,8 @@ def unused_imports(source: str) -> list[str]:
 
 
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-                         + sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
+                         + sorted(SCRIPTS.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 

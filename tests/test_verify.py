@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -29,6 +29,7 @@ from densfam import (
     kw_set,
     pattern_label,
     random_extension,
+    reaping,
     thin,
     thin_extension,
     verify_independence,
@@ -214,15 +215,43 @@ def test_verify_raises_when_a_block_chunk_breaks_its_closed_form(kind):
         verify_independence(fam, schedule=sched)
 
 
-def test_thin_extension_of_a_like_named_family_gets_no_halves_check():
+def test_thin_extension_of_a_like_named_family_bounds_its_own_count(monkeypatch):
     # f2 names its members A0 and A1 as f1 does, but T thins f1's sets: no
-    # identity ties T to f2's atoms, so verify reports instead of raising
+    # verified member is thinned, so m = 4 and the identity bounds T's own
+    # count, 0 <= 2|T below n| - n <= 4, which a bit set in chunk 0 breaks
     f1 = kw_family([2, 3], ["0.3", "0.5"])
     f2 = kw_family([5, 7], ["0.3", "0.5"])
-    rep = verify_independence(f2.extended("T", thin_extension(f1), Fraction(1, 2)),
-                              WindowSchedule(10_000, 2, 4))
+    schedule = WindowSchedule(10_000, 2, 4)
+    rep = verify_independence(f2.extended("T", thin_extension(f1), Fraction(1, 2)), schedule)
     assert rep.names == ("A0", "A1", "T")
     assert len(rep.atoms) == 8
+    real = reaping.thin
+
+    def flipped(*parts):
+        t = real(*parts)
+        return SetBase(t.descriptor, chunk_fn=lambda ci: t.chunk_mask(ci) | (1 << 12_345))
+
+    monkeypatch.setattr(reaping, "thin", flipped)
+    with pytest.raises(ValueError, match=r"count identity failed for member T on pattern \(none\) "
+                                         r"at window 40000: it keeps 20003 of the pattern's 40000 "
+                                         r"indices, not 20000 to 20002"):
+        verify_independence(f2.extended("T", thin_extension(f1), Fraction(1, 2)), schedule)
+
+
+_KW4 = kw_family([2, 3, 5, 7], [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(2, 5)])
+
+
+@settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(thinned=st.lists(st.sampled_from(_KW4.names), min_size=1, max_size=3, unique=True),
+       others=st.lists(st.sampled_from(_KW4.names), max_size=4, unique=True),
+       at=st.integers(0, 4))
+def test_a_correct_thin_extension_passes_its_identity_wherever_it_sits(thinned, others, at):
+    # T thins 1-3 members; verified beside any members in any order, its
+    # counts meet the identity, so verify returns a report
+    fam = _KW4.extended("T", thin_extension(_KW4.subfamily(thinned)), Fraction(1, 2))
+    names = others[:at] + ["T"] + others[at:]
+    rep = verify_independence(fam.subfamily(names), WindowSchedule(3000, 3, 5))
+    assert rep.names == tuple(names)
 
 
 def _kw3():
