@@ -21,6 +21,7 @@ bytes for any worker count.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from fractions import Fraction
@@ -152,12 +153,32 @@ def _resolve_tol(spec: LoadedSpec, args) -> Optional[Fraction]:
     return spec.tol if args.tol is None else parse_tolerance(args.tol, "--tol")
 
 
+def _out_path(out: str) -> str:
+    """The --out path; a relative one lies under $DENSFAM_OUT_DIR when set."""
+    out_dir = os.environ.get(OUT_DIR_ENV)
+    return os.path.join(out_dir, out) if out_dir and not os.path.isabs(out) else out
+
+
+def _check_out(out: str) -> None:
+    """Fail before any sweep when --out is a directory or lies in a missing
+    or unwritable folder; an existing file is not touched until the report
+    is written."""
+    path = _out_path(out)
+    folder = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise SpecError(f"cannot write --out {path}: {os.strerror(code)}")
+
+
 def _emit(text: str, args) -> None:
     if args.out:
-        path = args.out
-        out_dir = os.environ.get(OUT_DIR_ENV)
-        if out_dir and not os.path.isabs(path):
-            path = os.path.join(out_dir, path)
+        path = _out_path(args.out)
         try:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -508,6 +529,8 @@ PARSER = build_parser()
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         # looked up per call, so a wrapper installed on cmd_* is honored
         return globals()[f"cmd_{args.command}"](args)
     except SpecError as e:

@@ -26,8 +26,6 @@ from itertools import accumulate, count, product
 from math import factorial
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from . import fixedpoint as fx
 from .density import Rational, as_fraction
 from .rng import RNG_ALGORITHM, acceptance_threshold, check_seed, u64_range
@@ -221,6 +219,8 @@ def coded_independent_set(
         prefix_index.append((prefix_index[-1] << 1) | b)
 
     def chunk(ci: int) -> int:
+        import numpy as np  # here, so that importing densfam skips it
+
         lo = ci * CHUNK_BITS
         out = 0
         for start, stop, shift in zip(starts, starts[1:], prefix_index):
@@ -444,6 +444,8 @@ def random_extension(
     thr0 = acceptance_threshold(params.t0)
 
     def chunk(ci: int) -> int:
+        import numpy as np  # here, so that importing densfam skips it
+
         lo = ci * CHUNK_BITS
         us = u64_range(seed, lo, lo + CHUNK_BITS)
         # both thresholds are below 2**64, so the uint64 scalars are exact

@@ -53,8 +53,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy is imported in the chunk kernels, so that importing densfam skips
+# it; here it is only named in annotations
+if TYPE_CHECKING:
+    import numpy as np
 
 FRAC_BITS = 96
 GUARD_BITS = 40
@@ -186,6 +190,8 @@ _TOP = 1 << 64
 def _step_table(s_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """T[i] = i * s_hi mod 2**64 for i < B, a sorted copy of T, and the
     permutation that sorts it."""
+    import numpy as np
+
     table = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(s_hi)
     order = np.argsort(table)
     return table, table[order], order
@@ -195,6 +201,8 @@ def _arc_candidates(step: int, start: int, length: int, arcs: tuple, w: int):
     """Yield (i, a) for each offset i < length from start whose carry-free
     high limb lies on [hi(a) - B + 1, hi(a) + hi(w) + 1] mod 2**64, for
     each arc start a: every index whose orbit value is on [a, a + w)."""
+    import numpy as np
+
     _, sorted_table, order = _step_table(step >> 32)
     width = (w >> 32) + _BLOCK + 1
     blocks = range(0, length, _BLOCK)
@@ -221,6 +229,8 @@ def orbit_chunk_mask(step: int, thr_eff: int, start: int, length: int) -> int:
     finds them for the exact orbit_value comparison.  Every bit agrees
     with orbit_value.
     """
+    import numpy as np
+
     table = _step_table(step >> 32)[0]
     sure = np.uint64(max((thr_eff >> 32) - _BLOCK + 1, 0))
     x_hi = [orbit_value(step, start + o) >> 32 for o in range(0, length, _BLOCK)]

@@ -10,9 +10,12 @@ reproduces identical values.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-from numpy.random import Philox
+# numpy is imported in the function that draws, so that importing densfam
+# skips it; here it is only named in annotations
+if TYPE_CHECKING:
+    import numpy as np
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -27,6 +30,9 @@ def check_seed(seed: int, what: str = "seed") -> int:
 
 def u64_range(seed: int, start: int, stop: int) -> np.ndarray:
     """uint64 draws for indices [start, stop), identical for any split."""
+    import numpy as np
+    from numpy.random import Philox
+
     check_seed(seed)
     if stop <= start:
         return np.zeros(0, dtype=np.uint64)

@@ -21,9 +21,14 @@ finds every part's parity below its range in one shared sweep.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-import numpy as np
+# numpy is imported in the functions that use it, so that importing
+# densfam, building a set and counting it by its hint skip it; here it is
+# only named in annotations
+if TYPE_CHECKING:
+    import numpy as np
 
 CHUNK_BITS = 1 << 16
 _FULL_CHUNK = (1 << CHUNK_BITS) - 1
@@ -33,11 +38,15 @@ _THIN_PARITIES = 4
 
 def bits_to_mask(bits: np.ndarray) -> int:
     """Pack a 0/1 or boolean array into an integer bitmask, bit i = bits[i]."""
+    import numpy as np
+
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def mask_to_bits(mask: int, width: int) -> np.ndarray:
     """Unpack an integer bitmask into a uint8 0/1 array of the given width."""
+    import numpy as np
+
     nbytes = (width + 7) // 8
     raw = mask.to_bytes(nbytes, "little")
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:width]
@@ -113,6 +122,8 @@ class SetBase:
 
     def bits_range(self, start: int, stop: int) -> np.ndarray:
         """Membership as a uint8 0/1 array over [start, stop), start >= 0."""
+        import numpy as np
+
         if start < 0:
             raise ValueError("bits_range start must be nonnegative")
         if stop <= start:
@@ -186,6 +197,8 @@ def window_counts(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
+        # loaded once here for every worker to inherit, not once per worker
+        __import__("numpy.random")
         ranges = [range(chunks * i // k, chunks * (i + 1) // k) for i in range(k)]
         # fork hands each worker the sweep closure unpickled.  Leaving the
         # block joins every worker, and a worker that dies raises
@@ -255,26 +268,21 @@ def from_elements(elements: Iterable[int]) -> SetBase:
     elems = sorted(set(int(e) for e in given))
     if elems and elems[0] < 0:
         raise ValueError("elements must be nonnegative")
-    # int64 while every index a chunk search can meet fits in it
-    top = elems[-1] if elems else -1
-    arr = np.array(elems, dtype=np.int64 if top < (1 << 63) - CHUNK_BITS else object)
-
-    def hint(n: int) -> int:
-        # an n past the top may not fit the array's dtype
-        return len(elems) if n > top else int(np.searchsorted(arr, n))
 
     def chunk(ci: int) -> int:
+        import numpy as np
+
         lo = ci * CHUNK_BITS
-        if lo > top:
+        i, j = bisect_left(elems, lo), bisect_left(elems, lo + CHUNK_BITS)
+        if i == j:
             return 0
-        i, j = np.searchsorted(arr, (lo, lo + CHUNK_BITS))
         bits = np.zeros(CHUNK_BITS, dtype=np.uint8)
-        bits[(arr[i:j] - lo).astype(np.intp)] = 1
+        bits[[e - lo for e in elems[i:j]]] = 1
         return bits_to_mask(bits)
 
     return SetBase(
         {"kind": "explicit", "size": len(elems)},
-        count_hint=hint,
+        count_hint=lambda n: bisect_left(elems, n),
         chunk_fn=chunk,
     )
 
@@ -287,6 +295,8 @@ def from_membership(fn: Callable[[int], bool], descriptor: Optional[dict] = None
     """
 
     def chunk(ci: int) -> int:
+        import numpy as np
+
         base = ci * CHUNK_BITS
         members = map(fn, range(base, base + CHUNK_BITS))
         return bits_to_mask(np.fromiter(members, bool, CHUNK_BITS))
@@ -326,6 +336,8 @@ def scale(s: SetBase, factor: int) -> SetBase:
         return s.prefix_count(-(-n // m))
 
     def chunk(ci: int) -> int:
+        import numpy as np
+
         a = ci * CHUNK_BITS
         j0, j1 = -(-a // m), -(-(a + CHUNK_BITS) // m)
         out = np.zeros(CHUNK_BITS, dtype=np.uint8)
@@ -363,6 +375,8 @@ def thin(*parts: SetBase) -> SetBase:
     odds: dict[int, np.ndarray] = {}
 
     def chunk(ci: int) -> int:
+        import numpy as np
+
         odd = odds.pop(ci, None)
         if odd is None:
             below = window_counts(parts, (ci * CHUNK_BITS,))

@@ -99,6 +99,28 @@ def test_missing_file_is_parse_error(tmp_path, capsys, case):
     assert ("--out " + str(tmp_path) if out else spec) in err
 
 
+@pytest.mark.parametrize("path, reason", [
+    ("", "Is a directory"),
+    ("nope/r.json", "No such file or directory"),
+    ("spec.json/r.json", "Not a directory"),
+], ids=["dir", "missing-folder", "folder-is-a-file"])
+def test_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch, path, reason):
+    # a sweep to 10**9 would take seconds; the path is checked first
+    direct = _count_calls(monkeypatch, fixedpoint, "orbit_chunk_mask")
+    path = str(tmp_path / path) if path else str(tmp_path)
+    assert main(["verify", write_spec(tmp_path, KW3), "--prefix", "1000000000",
+                 "--out", path]) == 2
+    assert capsys.readouterr().err == f"error: cannot write --out {path}: {reason}\n"
+    assert direct == []
+
+
+def test_failed_command_leaves_an_existing_out_file_unchanged(tmp_path):
+    out = tmp_path / "r.json"
+    out.write_bytes(b"earlier report\n")
+    assert main(["reap", write_spec(tmp_path, KW3), "NOPE", "A0", "--out", str(out)]) == 3
+    assert out.read_bytes() == b"earlier report\n"
+
+
 def test_empty_family_is_parse_error(tmp_path, capsys):
     assert main(["verify", write_spec(tmp_path, {"family": []})]) == 2
     assert "family must be nonempty" in capsys.readouterr().err
