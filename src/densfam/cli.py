@@ -372,6 +372,9 @@ def cmd_extend(args) -> int:
         family = family.subfamily(_names_flag(args.family, "--family"))
 
     if args.mode == "thin":
+        for flag, given in (("--distinguished", args.distinguished), ("--target", args.target)):
+            if given is not None:
+                raise SpecError(f"{flag} is for --mode random only")
         new_set = thin_extension(family)
         enlarged = family.extended(args.name, new_set, Fraction(1, 2))
         rep = verify_independence(enlarged, sched, tol, workers=args.workers)
@@ -387,7 +390,7 @@ def cmd_extend(args) -> int:
             raise ValueError("--distinguished is required for random mode")
         if args.seed is None:
             raise ValueError("--seed is required for random mode")
-        target = _unit_flag(args.target, "--target")
+        target = _unit_flag("1/2" if args.target is None else args.target, "--target")
         new_set, params = random_extension(family, args.distinguished, target, args.seed)
         windows = sched.windows()
         joint = intersect(new_set, family.set_of(args.distinguished))
@@ -509,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated base member names (default: all)")
     p.add_argument("--distinguished", default=None,
                    help="member the random extension biases against")
-    p.add_argument("--target", default="1/2", help="declared density of the new member")
+    p.add_argument("--target", default=None, help="random mode's density (default 1/2)")
 
     p = command("pack", "greedy pattern packing below a density budget", _table_flag)
     p.add_argument("--side", type=int, choices=(0, 1), required=True,

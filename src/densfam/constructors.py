@@ -102,11 +102,11 @@ class KWSet(SetBase):
     The set is defined by its chunks: an index is a member when its 96-bit
     orbit value lies below the threshold plus a 2**-40 guard band.
     Indices inside the band are resolved as members and surface in the
-    band diagnostic, never silently.  At any threshold, a chunk whose
-    predecessor is in the set's one-chunk slot is continued from it (about
-    20 us); any other, chunk 0 included, takes the direct kernel (about
-    70 us).  Both agree with orbit_value bit for bit.  Prefix counts and
-    band counts are closed-form floor sums.
+    band diagnostic, never silently.  At any threshold, a chunk is
+    continued from the mask of the chunk before, carried into it (about
+    20 us); each reader's first chunk, chunk 0 included, takes the direct
+    kernel (about 70 us).  Both agree with orbit_value bit for bit.  Prefix
+    counts and band counts are closed-form floor sums.
     Every index bound above fx.INDEX_LIMIT is rejected with a
     ValueError; the limit is a multiple of CHUNK_BITS, so the chunk
     bound rejects exactly the indices at or past it.
@@ -130,6 +130,7 @@ class KWSet(SetBase):
         self._thr = thr_fixed
         self._thr_eff = thr_fixed + fx.GUARD
         self._shift = fx.orbit_shift(step, self._thr_eff, CHUNK_BITS)
+        self._carried = {}
 
     @property
     def count_hint(self) -> Callable[[int], int]:
@@ -139,13 +140,12 @@ class KWSet(SetBase):
         fx.check_index_bound(n)
         return fx.orbit_count(self._step, self._thr_eff, n)
 
-    def _compute_chunk(self, ci: int) -> int:
+    def _compute_chunk(self, ci: int, prev: Optional[int]) -> tuple[int, Optional[int], int]:
         fx.check_index_bound((ci + 1) * CHUNK_BITS)
-        at, prev = self._chunk  # not yet replaced; (-1, 0) before any chunk
-        if at >= 0 and at == ci - 1:
-            return fx.orbit_chunk_continue(self._step, self._shift, ci * CHUNK_BITS,
-                                           CHUNK_BITS, prev)
-        return fx.orbit_chunk_mask(self._step, self._thr_eff, ci * CHUNK_BITS, CHUNK_BITS)
+        start = ci * CHUNK_BITS
+        mask = (fx.orbit_chunk_mask(self._step, self._thr_eff, start, CHUNK_BITS) if prev is None
+                else fx.orbit_chunk_continue(self._step, self._shift, start, CHUNK_BITS, prev))
+        return mask, prev, mask
 
     def band_count(self, n: int) -> int:
         """Exact number of indices below n whose orbit value falls in the

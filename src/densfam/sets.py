@@ -10,13 +10,14 @@ kernel.  All counts are exact integers.
 
 ``window_counts`` is the one way to count: it gives |S ∩ [0, n)| for
 many sets and windows in one chunk-major sweep, so a leaf shared by many
-expressions is computed once per chunk, and each set keeps only the last
-chunk it computed: memory is flat in the window size.  Its ``workers``
-argument splits the chunk range into contiguous parts counted in forked
-worker processes and summed, so results are identical for any worker
-count; ``prefix_count`` and ``sweep_prefix`` are its one-set, one-window
-forms.  A thinning is one set however many parts it thins, so a worker
-finds every part's parity below its range in one shared sweep.
+expressions is computed once per chunk, and each set keeps only its last
+chunk and the state carried into two chunks per reader: memory is flat
+in the window size.  Its ``workers`` argument splits the chunk range
+into contiguous parts counted in forked worker processes and summed, so
+results are identical for any worker count; ``prefix_count`` and
+``sweep_prefix`` are its one-set, one-window forms.  A thinning is one
+set however many parts it thins, so a worker finds every part's parity
+below its range in one shared sweep.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ if TYPE_CHECKING:
 
 CHUNK_BITS = 1 << 16
 _FULL_CHUNK = (1 << CHUNK_BITS) - 1
-# chunk indices whose starting parities a thinning keeps
-_THIN_PARITIES = 4
 
 
 def bits_to_mask(bits: np.ndarray) -> int:
@@ -62,11 +61,13 @@ class SetBase:
     and is spot-checked against exhaustive counting in the test suite.
     A kind with its own kernel subclasses this and overrides
     ``_compute_chunk`` (and ``count_hint`` when it counts in closed form).
+    A kind whose chunks carry state to the next sets ``_carried = {}``; see chunk_mask.
     """
 
     # read only by perfbench/tracer.py, which counts chunk-cache hits on
-    # sets where it is true; no set keeps more than its one-chunk slot
+    # sets where it is true; no set serves chunks from more than its one-chunk slot
     caches_chunks = False
+    _carried: Optional[dict] = None  # chunk index -> state carried into it
 
     def __init__(
         self,
@@ -78,12 +79,7 @@ class SetBase:
         self.descriptor = descriptor
         self._chunk_fn = chunk_fn
         self._count_hint = count_hint
-        # (ci, mask) of the last chunk computed.  Each window_counts worker
-        # is a forked process with its own copy of the set, so this slot,
-        # like a thinning's parities, is read and replaced only by that
-        # process's sweeps: its range's, and the one a thinning runs below
-        # its first chunk to count all its parts.
-        self._chunk: tuple[int, int] = (-1, 0)
+        self._chunk: tuple[int, int] = (-1, 0)  # (ci, mask) of the last chunk computed
 
     # -- membership ---------------------------------------------------
 
@@ -92,10 +88,10 @@ class SetBase:
         n // CHUNK_BITS.
 
         No count calls this, and no command queries a set point by
-        point.  A query computes its whole chunk unless it is the last
-        one the set computed, so an isolated query costs a chunk (about
-        80 us for a rotation set, whose next chunk is then continued in
-        about 20 us), and every query shifts an 8 KiB integer.
+        point.  A query computes its whole chunk unless the set computed
+        it last: about 80 us for a rotation set, or 20 us continued from
+        the chunk before, and 8 KiB carried per chunk a jumping query
+        reaches.  Every query shifts an 8 KiB integer.
         """
         if n < 0:
             return False
@@ -110,14 +106,28 @@ class SetBase:
 
     # -- chunked evaluation -------------------------------------------
 
-    def _compute_chunk(self, ci: int) -> int:
-        return self._chunk_fn(ci)
+    def _compute_chunk(self, ci: int, *into):
+        return self._chunk_fn(ci, *into)
 
     def chunk_mask(self, ci: int) -> int:
-        """Membership bitmask for indices [ci*CHUNK_BITS, (ci+1)*CHUNK_BITS)."""
+        """Membership bitmask for indices [ci*CHUNK_BITS, (ci+1)*CHUNK_BITS).
+
+        The one place that keeps carried state: a kind that carries it
+        computes chunk ci from the state carried into ci (None if none)
+        and returns the mask, that state and the state carried into ci + 1.
+        Both are kept and the state carried into ci - 1 is dropped, so each
+        reader, at its own position, keeps its own two entries.  An entry
+        depends on its index only, so a race of threads at most drops one.
+        """
         got = self._chunk
         if got[0] != ci:
-            got = self._chunk = (ci, self._compute_chunk(ci))
+            carried = self._carried
+            if carried is None:
+                mask = self._compute_chunk(ci)
+            else:
+                mask, carried[ci], carried[ci + 1] = self._compute_chunk(ci, carried.get(ci))
+                carried.pop(ci - 1, None)
+            got = self._chunk = (ci, mask)
         return got[1]
 
     def bits_range(self, start: int, stop: int) -> np.ndarray:
@@ -360,24 +370,16 @@ def thin(*parts: SetBase) -> SetBase:
     an odd number of members in [0, i] of the chunk), S keeps S & P after
     an even count of S and S & ~P after an odd one, for all parts in one
     numpy pass.  A chunk needs only each part's count parity below it, and
-    leaves the parity below the next chunk, so the set keeps these for the
-    last _THIN_PARITIES chunk indices it reached, two per reader: a forward
-    sweep and one reader that trails it, such as a scale, get each chunk's
-    starting parities for free.  Any other chunk, such as the first of a
-    worker's range, takes them from one window_counts sweep of all parts.
-    Three readers, such as two scales, evict each other's parities, so
-    their chunks take that sweep and the work grows as N squared.
+    carries the parities below the next chunk into it (see chunk_mask); a
+    chunk nothing carried into, such as a reader's first, takes them from
+    one window_counts sweep of all parts.
     """
     s, *more = parts
     hint = None if more else lambda n: (s.prefix_count(n) + 1) // 2
-    # chunk index -> column of each part's count parity below it, the
-    # most recently reached last
-    odds: dict[int, np.ndarray] = {}
 
-    def chunk(ci: int) -> int:
+    def chunk(ci: int, odd: Optional[np.ndarray]) -> tuple[int, np.ndarray, np.ndarray]:
         import numpy as np
 
-        odd = odds.pop(ci, None)
         if odd is None:
             below = window_counts(parts, (ci * CHUNK_BITS,))
             odd = np.array([c & 1 for (c,) in below], dtype=np.uint64)[:, None]
@@ -391,19 +393,13 @@ def thin(*parts: SetBase) -> SetBase:
             parity ^= parity << np.uint64(k)
         top = parity >> np.uint64(63)
         parity ^= np.uint64(0) - (np.bitwise_xor.accumulate(top, axis=1) ^ top ^ odd)
-        # threads sharing the set may interleave these steps: each is one
-        # dict call that tolerates another's change, and a column depends on
-        # its chunk index only, so a race at most drops a column
-        odds[ci] = odd
-        odds.pop(ci + 1, None)
-        odds[ci + 1] = parity[:, -1:] >> np.uint64(63)
-        kept = list(odds)
-        for old in kept[: max(0, len(kept) - _THIN_PARITIES)]:
-            odds.pop(old, None)
-        return int.from_bytes(np.bitwise_or.reduce(words & parity, axis=0).tobytes(), "little")
+        kept = np.bitwise_or.reduce(words & parity, axis=0)
+        return int.from_bytes(kept.tobytes(), "little"), odd, parity[:, -1:] >> np.uint64(63)
 
     of = [p.descriptor for p in parts] if more else s.descriptor
-    return SetBase({"kind": "thin", "of": of}, count_hint=hint, chunk_fn=chunk)
+    t = SetBase({"kind": "thin", "of": of}, count_hint=hint, chunk_fn=chunk)
+    t._carried = {}
+    return t
 
 
 def intersect(*sets: SetBase) -> SetExpr:

@@ -582,6 +582,28 @@ def test_one_bit_error_in_a_hinted_expr_member_breaks_its_count_identity(tmp_pat
         monkeypatch.undo()
 
 
+def test_one_bit_error_in_a_block_member_breaks_its_count_identity(tmp_path, capsys,
+                                                                   monkeypatch):
+    # B0's kernel gets bit 12,345 of every chunk wrong and A0's does not;
+    # B0's closed-form count must catch it
+    real = specfile.BlockParitySet
+
+    def flipped(classical):
+        b = real(classical)
+        return SetBase(b.descriptor, chunk_fn=lambda ci: b.chunk_mask(ci) ^ (1 << 12_345),
+                       count_hint=b.count_hint)
+
+    monkeypatch.setattr(specfile, "BlockParitySet", flipped)
+    doc = {**BLOCK1, "family": KW3["family"][:1] + BLOCK1["family"]}
+    code = main(["verify", write_spec(tmp_path, doc), "--schedule", "20000,2,3",
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert "count identity failed for member B0 at window 20000" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_prefix_far_below_a_long_schedule_returns_at_once(tmp_path):
     # retarget finds the largest window count that fits without trying
     # each of the 3000 counts in turn
@@ -816,6 +838,22 @@ def test_extend_name_that_is_empty_or_taken_is_parse_error_naming_it(tmp_path, c
     monkeypatch.setattr(cli, "random_extension", never)
     assert main(["extend", write_spec(tmp_path, doc), *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--distinguished", "A0"], "--distinguished"),
+    (["--target", "0.3"], "--target"),
+    (["--target", "1/2", "--distinguished", "A0"], "--distinguished"),
+], ids=["distinguished", "target", "both"])
+def test_extend_thin_refuses_the_random_mode_flags(tmp_path, capsys, monkeypatch, flags, flag):
+    # a thin extension biases against no member and has density 1/2, so
+    # the flags would be ignored; they are refused before it is built
+    def never(*_):
+        raise AssertionError("the new member was built")
+
+    monkeypatch.setattr(cli, "thin_extension", never)
+    assert main(["extend", write_spec(tmp_path, KW3), "--mode", "thin", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {flag} is for --mode random only\n"
 
 
 def _run_in_ten_seconds(*argv) -> subprocess.CompletedProcess:

@@ -185,7 +185,8 @@ def test_kw_sweep_from_a_chunk_whose_predecessor_was_never_computed(monkeypatch,
 
 
 def test_kw_chunk_0_is_not_continued_from_the_empty_slot(monkeypatch):
-    # the slot starts as (-1, 0), which must not pass for a chunk -1
+    # nothing is carried into a fresh set's chunk 0, so the direct kernel
+    # computes it; the one-chunk slot's start, (-1, 0), is no chunk -1
     monkeypatch.setattr(fx, "orbit_chunk_continue", None)
     s = kw_set(2, Fraction(1, 2))
     assert s.chunk_mask(0) == oracles.orbit_walk_mask(s._step, s._thr_eff, 0, CHUNK_BITS)
@@ -423,12 +424,21 @@ def test_classical_mask_is_thread_safe():
 
 def test_thin_set_shared_across_threads_stays_exact():
     # threads of one process (counting itself forks processes) share the
-    # thin set's last-chunk tuple and its one rank tuple; each tuple
-    # depends on its chunk index only.  Three base members per chunk make
+    # thin set's last-chunk tuple and its carried parities; each depends
+    # on its chunk index only.  Three base members per chunk make
     # the kept bits flip with the rank parity at every chunk.
     for _ in range(5):
         t = thin(SetBase({"kind": "probe"}, chunk_fn=lambda ci: 0b111))
         assert race(lambda: t.sweep_prefix(64 * CHUNK_BITS)) == [96] * 4
+
+
+def test_rotation_set_shared_across_threads_stays_exact():
+    # the threads share the set's one-chunk slot and the masks carried
+    # from chunk to chunk; a carried mask depends on its chunk index only
+    for _ in range(5):
+        s = kw_set(2, Fraction(3, 10))
+        n = 16 * CHUNK_BITS
+        assert race(lambda: s.sweep_prefix(n)) == [s.prefix_count(n)] * 4
 
 
 # -- biased-coin extension parameters -------------------------------------------

@@ -1,5 +1,6 @@
 """Core set representation: membership, chunk masks, exact counting."""
 
+import functools
 import gc
 import multiprocessing
 import os
@@ -16,6 +17,7 @@ import oracles
 from densfam import (
     BlockParitySet,
     Family,
+    atoms,
     coded_independent_set,
     complement,
     fixedpoint,
@@ -393,28 +395,114 @@ def test_thin_full_chunk_matches_oracle(name, below):
         assert mask_to_bits(t.chunk_mask(1), CHUNK_BITS).tolist() == want
 
 
-def test_scale_of_a_thin_extension_sweeps_in_linear_time(monkeypatch):
-    # the sweep reads T at chunk c and scale(T, 3) reads it near c / 3, so
-    # T must start its trailing chunks from parities it kept, not from a
-    # fresh count of its atoms below them
-    calls = []
-    for name in ("orbit_chunk_mask", "orbit_chunk_continue"):
+def _count_orbit_kernel_calls(monkeypatch) -> dict[str, int]:
+    calls = {"orbit_chunk_mask": 0, "orbit_chunk_continue": 0}
+    for name in calls:
         orig = getattr(fixedpoint, name)
-        monkeypatch.setattr(fixedpoint, name, lambda *a, orig=orig: calls.append(1) or orig(*a))
-    used, count_e = {}, {}
-    for chunks in (8, 16, 32):
+
+        def counted(*a, orig=orig, name=name):
+            calls[name] += 1
+            return orig(*a)
+
+        monkeypatch.setattr(fixedpoint, name, counted)
+    return calls
+
+
+def _unhinted(s: SetBase) -> SetBase:
+    """s's chunks with no count hint, so window_counts sweeps them."""
+    return SetBase(s.descriptor, chunk_fn=s.chunk_mask)
+
+
+def test_scale_of_a_thin_extension_sweeps_in_linear_time(monkeypatch):
+    # the sweep reads T at chunk c and each scale(T, m) reads it near c / m,
+    # so each of these readers must start T's chunks from the parities
+    # carried into them, not from a fresh count of T's atoms below them
+    calls = _count_orbit_kernel_calls(monkeypatch)
+    for factors in ((3,), (2, 3)):
+        used, count_e = {}, {}
+        for chunks in (8, 16, 32):
+            fam = kw_family([2, 3, 5], ["0.3", "0.5", "0.7"])
+            t = thin_extension(fam.subfamily(["A0", "A1"]))
+            e = intersect(fam.set_of("A2"), *(scale(t, m) for m in factors))
+            calls.update(dict.fromkeys(calls, 0))
+            count_e[chunks] = window_counts([*fam.sets, t, e], (chunks * CHUNK_BITS,))[-1]
+            used[chunks] = sum(calls.values())
+        assert used[16] <= 2 * used[8] + 8, (factors, used)
+        assert used[32] <= 2 * used[16] + 8, (factors, used)
+        # E counted alone, so no sweep of T interleaves with the scales' reads
         fam = kw_family([2, 3, 5], ["0.3", "0.5", "0.7"])
         t = thin_extension(fam.subfamily(["A0", "A1"]))
-        e = intersect(fam.set_of("A2"), scale(t, 3))
-        calls.clear()
-        count_e[chunks] = window_counts([*fam.sets, t, e], (chunks * CHUNK_BITS,))[-1]
-        used[chunks] = len(calls)
-    assert used[16] <= 2 * used[8] + 8, used
-    assert used[32] <= 2 * used[16] + 8, used
-    # E counted alone, so no sweep of T interleaves with the scale's reads
-    fam = kw_family([2, 3, 5], ["0.3", "0.5", "0.7"])
-    alone = intersect(fam.set_of("A2"), scale(thin_extension(fam.subfamily(["A0", "A1"])), 3))
-    assert window_counts([alone], (32 * CHUNK_BITS,))[0] == count_e[32]
+        alone = intersect(fam.set_of("A2"), *(scale(t, m) for m in factors))
+        assert window_counts([alone], (32 * CHUNK_BITS,))[0] == count_e[32]
+
+
+def test_rotation_set_swept_with_its_scale_takes_the_direct_kernel_a_fixed_number_of_times(
+        monkeypatch):
+    # the sweep reads A at chunk c and scale(A, 3) reads it near c / 3;
+    # each reader continues from the mask carried into its next chunk, so
+    # only the readers' first chunks take the direct kernel
+    calls = _count_orbit_kernel_calls(monkeypatch)
+    direct = {}
+    for chunks in (8, 16, 32):
+        a = kw_set(2, "3/10")
+        calls.update(dict.fromkeys(calls, 0))
+        counts = window_counts([_unhinted(a), _unhinted(scale(a, 3))], (chunks * CHUNK_BITS,))
+        assert counts == [(a.prefix_count(chunks * CHUNK_BITS),),
+                          (a.prefix_count(-(-chunks * CHUNK_BITS // 3)),)]
+        direct[chunks] = calls["orbit_chunk_mask"]
+    assert direct[8] == direct[16] == direct[32] <= 4, direct
+
+
+@pytest.mark.parametrize("chunks", [16, 64])
+def test_carried_state_stays_two_entries_per_reader(chunks):
+    # T is read by the sweep, by scale(T, 2) and by scale(T, 3): three
+    # readers, and so are the rotation leaves under T's atoms
+    fam = kw_family([2, 3], ["0.3", "0.5"])
+    t = thin(*atoms(fam.sets))
+    e = intersect(scale(t, 2), scale(t, 3))
+    window_counts([t, e], (chunks * CHUNK_BITS,))
+    for s in (*fam.sets, t):
+        assert len(s._carried) <= 2 * 3, (s.descriptor, sorted(s._carried))
+
+
+_READ_CHUNKS = 16
+
+
+@functools.cache
+def _fresh_chunk(kind: str, ci: int) -> int:
+    return _read_order_set(kind).chunk_mask(ci)
+
+
+def _read_order_set(kind: str) -> SetBase:
+    if kind == "kw":
+        return kw_set(2, "3/10")
+    return thin_extension(kw_family([3, 5], ["0.5", "0.7"]))
+
+
+def _two_readers(start: int, rate: int, steps: int) -> list[int]:
+    # one reader at chunk c and one near c / rate, as a sweep and a scale
+    return [i for c in range(start, start + steps) for i in (c, c // rate)]
+
+
+_read_runs = st.one_of(
+    st.builds(lambda a, k: list(range(a, a + k)), st.integers(0, 10), st.integers(1, 5)),
+    st.builds(lambda a, k: [a] * k, st.integers(0, 15), st.integers(2, 3)),
+    st.builds(_two_readers, st.integers(0, 10), st.integers(2, 3), st.integers(1, 5)),
+)
+
+
+# no shrink phase: a failing order is short enough to read as it is drawn
+@settings(max_examples=30, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.lists(_read_runs, min_size=1, max_size=6).map(lambda runs: sum(runs, [])))
+def test_chunks_read_in_any_order_match_a_fresh_set(order):
+    # forward runs, repeats, jumps back and ahead between runs, and two
+    # readers at different rates: whatever state the reads leave carried,
+    # every chunk is the one a set that computed nothing else gives
+    assert max(order) < _READ_CHUNKS
+    for kind in ("kw", "thin-ext"):
+        s = _read_order_set(kind)
+        for ci in order:
+            assert s.chunk_mask(ci) == _fresh_chunk(kind, ci), (kind, ci)
 
 
 @pytest.mark.parametrize("odd", [0, 1])

@@ -203,16 +203,20 @@ HINTED_MEMBERS = {
 
 @pytest.mark.parametrize("kind", HINTED_MEMBERS)
 def test_verify_raises_when_a_block_chunk_breaks_its_closed_form(kind):
-    # the member's kernel gets index 100 wrong in every chunk; its count
-    # hint must disagree with its atoms at the first window
+    # the member's kernel gets one index wrong in every chunk, alone or
+    # beside two rotation members whose chunks are right; its count hint
+    # must disagree with its atoms at the first window past that index
     s = HINTED_MEMBERS[kind]()
-    broken = SetBase(s.descriptor, chunk_fn=lambda ci: s.chunk_mask(ci) ^ (1 << 100),
-                     count_hint=s.count_hint)
-    fam = Family(("M",), (broken,), (Fraction(1, 3),))
-    sched = WindowSchedule(start=2000, ratio=Fraction(2), count=3)
-    with pytest.raises(ValueError, match=r"count identity failed for member M at window 2000: "
-                                         r"its atoms count \d+, its count hint \d+"):
-        verify_independence(fam, schedule=sched)
+    rotation = kw_family([3, 5], [Fraction(1, 2), Fraction(7, 10)])
+    for bit, start, base in ((100, 2000, None), (12_345, 20_000, rotation)):
+        broken = SetBase(s.descriptor, chunk_fn=lambda ci, bit=bit: s.chunk_mask(ci) ^ (1 << bit),
+                         count_hint=s.count_hint)
+        fam = (Family(("M",), (broken,), (Fraction(1, 3),)) if base is None
+               else base.extended("M", broken, Fraction(1, 3)))
+        sched = WindowSchedule(start=start, ratio=Fraction(2), count=3)
+        with pytest.raises(ValueError, match=rf"count identity failed for member M at window "
+                                             rf"{start}: its atoms count \d+, its count hint \d+"):
+            verify_independence(fam, schedule=sched)
 
 
 def test_thin_extension_of_a_like_named_family_bounds_its_own_count(monkeypatch):
