@@ -103,9 +103,10 @@ class KWSet(SetBase):
     orbit value lies below the threshold plus a 2**-40 guard band.
     Indices inside the band are resolved as members and surface in the
     band diagnostic, never silently.  At any threshold, a chunk is
-    continued from the mask of the chunk before, carried into it (about
-    20 us); each reader's first chunk, chunk 0 included, takes the direct
-    kernel (about 70 us).  Both agree with orbit_value bit for bit.  Prefix
+    continued from the mask of the chunk before and each flip arc's next
+    visit, carried into it (about 6 us); each reader's first chunk, chunk
+    0 included, takes the direct kernel (about 60 us) and seeds the
+    visits.  Both agree with orbit_value bit for bit.  Prefix
     counts and band counts are closed-form floor sums.
     Every index bound above fx.INDEX_LIMIT is rejected with a
     ValueError; the limit is a multiple of CHUNK_BITS, so the chunk
@@ -140,12 +141,16 @@ class KWSet(SetBase):
         fx.check_index_bound(n)
         return fx.orbit_count(self._step, self._thr_eff, n)
 
-    def _compute_chunk(self, ci: int, prev: Optional[int]) -> tuple[int, Optional[int], int]:
+    def _compute_chunk(self, ci: int,
+                       carried: Optional[tuple]) -> tuple[int, Optional[tuple], tuple]:
         fx.check_index_bound((ci + 1) * CHUNK_BITS)
         start = ci * CHUNK_BITS
-        mask = (fx.orbit_chunk_mask(self._step, self._thr_eff, start, CHUNK_BITS) if prev is None
-                else fx.orbit_chunk_continue(self._step, self._shift, start, CHUNK_BITS, prev))
-        return mask, prev, mask
+        if carried is None:
+            mask = fx.orbit_chunk_mask(self._step, self._thr_eff, start, CHUNK_BITS)
+            visits = fx.orbit_visits(self._step, self._shift, start + CHUNK_BITS)
+        else:
+            mask, visits = fx.orbit_chunk_continue(self._shift, start, CHUNK_BITS, carried)
+        return mask, carried, (mask, visits)
 
     def band_count(self, n: int) -> int:
         """Exact number of indices below n whose orbit value falls in the

@@ -13,15 +13,15 @@ Python:
   which wraps mod 2**64 as the value wraps mod 2**96.  Index i of a
   block that starts at orbit value x has the carry-free high limb
   h_i = hi(x) + i*hi(step) mod 2**64, and the low limbs add a carry
-  c_i < B to it, since lo(x) + i*lo(step) < B * 2**32.  So an index
-  whose value lies on an arc [a, a + w) has h_i on [hi(a) - B + 1,
-  hi(a) + hi(w) + 1], the + 1 being the carry of lo(a) + lo(w).  One
-  binary search in a sorted per-step table finds these offsets for
-  every block and arc, and each is decided by the exact ``orbit_value``
-  test.  The direct kernel compares h_i with the threshold's high limb
-  and so decides every index except those near two points (w = 0): the
-  threshold (the tie) and 0 (where the carry wraps).  Only np.uint64
-  operands enter the arithmetic.
+  c_i < B to it, since lo(x) + i*lo(step) < B * 2**32.  So h_i decides
+  how the value compares with a point p unless the high limb, carry
+  included, can equal hi(p): unless h_i lies on [hi(p) - B + 1, hi(p)].
+  The kernel compares h_i with the threshold's high limb and so decides
+  every index except those near two points: the threshold (the tie) and
+  0 (where the carry wraps).  One binary search in a sorted per-step
+  table finds those offsets for every block, and each is decided by the
+  exact ``orbit_value`` test.  Only np.uint64 operands enter the
+  arithmetic.
 * ``orbit_chunk_continue`` derives a chunk from the one before it
   (three-distance theorem: Sós 1958; Lothaire, *Algebraic Combinatorics
   on Words*, ch. 2).  With d = v(q) and e = d or d - 2**96, whichever
@@ -31,9 +31,31 @@ Python:
   and [0, e) then [e, e + t), both run once from 0 to t + e mod 2**96,
   so flip(n) = [v(n) on [s, s + w)] XOR [v(n) on [t + s, t + s + w)],
   s = min(0, e) mod 2**96; an index on both arcs flips twice, which is
-  right.  For q the largest convergent denominator of step / 2**96 in a
-  chunk, w < 2**96 / q', q' the next one, so a chunk has a few flips,
-  found by the shared search.
+  right.  Here q is the largest convergent denominator of step / 2**96
+  up to the chunk length and q' the next one, above it, with e' = v(q')
+  signed, |e'| < w.  Each arc's visits are stepped to, not searched for
+  (the three-gap theorem for return times: N. B. Slater, "Gaps and steps
+  for the sequence n theta mod 1", 1967).  From a visit n with offset
+  u = v(n) - a on [0, w):
+
+  - no n + m with 0 < m < q' is a visit: with alpha = step / 2**96 and
+    ||x|| the distance to the nearest integer, in units of 2**-96,
+    ||m alpha|| >= ||q alpha|| = w there (best approximation), and m = q
+    moves u by +-w, off the arc;
+  - no n + q' + j with 0 < j < q is a visit: ||j alpha|| >= ||p alpha||
+    for p the convergent denominator before q, and q' = c q + p with a
+    partial quotient c >= 1 gives ||p alpha|| = c w + |e'|, so
+    |v(q' + j)| >= w;
+  - e and e' have opposite signs, so exactly one of u + e' and u + e' + e
+    lies on [0, w): the next visit is n + q' or n + q + q', each an
+    integer addition, and the map induced on the arc is a rotation by e'
+    mod w.
+
+  Both gaps exceed a chunk, so a chunk holds at most one visit per arc,
+  found by one comparison.  When w = 0 the orbit has period q, at most a
+  chunk, and nothing flips.  A reader's first visits come from
+  ``orbit_visits``: per arc, one Euclid-style solve for the first index
+  at or after a given one whose value lies on the arc.
 * ``orbit_count`` counts {i < n : orbit value < t} in closed form.  The
   orbit is a rational rotation with modulus 2**96, so the count is a
   difference of two ``floor_sum`` values (the Euclid-style sum of
@@ -197,34 +219,33 @@ def _step_table(s_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table, table[order], order
 
 
-def _arc_candidates(step: int, start: int, length: int, arcs: tuple, w: int):
-    """Yield (i, a) for each offset i < length from start whose carry-free
-    high limb lies on [hi(a) - B + 1, hi(a) + hi(w) + 1] mod 2**64, for
-    each arc start a: every index whose orbit value is on [a, a + w)."""
+def _arc_candidates(step: int, start: int, length: int, points: tuple):
+    """Yield each offset i < length from start whose carry-free high limb
+    lies on [hi(p) - B + 1, hi(p)] mod 2**64 for a point p: every index
+    whose high limb, carry included, can equal hi(p)."""
     import numpy as np
 
     _, sorted_table, order = _step_table(step >> 32)
-    width = (w >> 32) + _BLOCK + 1
     blocks = range(0, length, _BLOCK)
-    los = [((a >> 32) - _BLOCK + 1 - (orbit_value(step, start + o) >> 32)) % _TOP
-           for o in blocks for a in arcs]
-    ends = np.array(los + [(lo + width) % _TOP for lo in los], dtype=np.uint64)
-    p = np.searchsorted(sorted_table, ends).tolist()
+    los = [((p >> 32) - _BLOCK + 1 - (orbit_value(step, start + o) >> 32)) % _TOP
+           for o in blocks for p in points]
+    ends = np.array(los + [(lo + _BLOCK) % _TOP for lo in los], dtype=np.uint64)
+    at = np.searchsorted(sorted_table, ends).tolist()
     for j, lo in enumerate(los):
-        # T entries on [lo, lo + width) mod 2**64, two runs if it wraps
-        p0, p1 = p[j], p[j + len(los)]
-        o, a = blocks[j // len(arcs)], arcs[j % len(arcs)]
-        found = order[p0:p1] if lo + width < _TOP else np.r_[order[p0:], order[:p1]]
+        # T entries on [lo, lo + B) mod 2**64, two runs if it wraps
+        p0, p1 = at[j], at[j + len(los)]
+        o = blocks[j // len(points)]
+        found = order[p0:p1] if lo + _BLOCK < _TOP else np.r_[order[p0:], order[:p1]]
         for i in found.tolist():
             if i < length - o:
-                yield o + i, a
+                yield o + i
 
 
 def orbit_chunk_mask(step: int, thr_eff: int, start: int, length: int) -> int:
     """Membership bitmask of {n : orbit value < thr_eff} on [start, start+length).
 
     With t = hi(thr_eff), index i of a block is a member when its
-    carry-free high limb h_i < t - B + 1 and not one when t + 1 < h_i <=
+    carry-free high limb h_i < t - B + 1 and not one when t < h_i <=
     2**64 - B; the rest lie near t or near 0, and ``_arc_candidates``
     finds them for the exact orbit_value comparison.  Every bit agrees
     with orbit_value.
@@ -235,16 +256,18 @@ def orbit_chunk_mask(step: int, thr_eff: int, start: int, length: int) -> int:
     sure = np.uint64(max((thr_eff >> 32) - _BLOCK + 1, 0))
     x_hi = [orbit_value(step, start + o) >> 32 for o in range(0, length, _BLOCK)]
     hit = (np.array(x_hi, dtype=np.uint64)[:, None] + table < sure).ravel()[:length]
-    for i, _ in _arc_candidates(step, start, length, (thr_eff, 0), 0):
+    for i in _arc_candidates(step, start, length, (thr_eff, 0)):
         hit[i] = orbit_value(step, start + i) < thr_eff
     return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
 
 
 def orbit_shift(step: int, thr_eff: int, length: int) -> tuple:
-    """(q, w, arc starts) for orbit_chunk_continue: q the largest
-    convergent denominator of step / 2**96 up to length, w = min(d,
-    2**96 - d) for d = v(q), and the two flip arcs [s, s + w) and
-    [thr_eff + s, thr_eff + s + w), for any thr_eff."""
+    """(q, w, arc starts, q', e, e') for orbit_chunk_continue: q <= length <
+    q' the convergent denominators of step / 2**96 on either side of
+    length, e = v(q) and e' = v(q') signed, with |e| = w = min(v(q), 2**96 -
+    v(q)) and |e'| < w, and the two flip arcs [s, s + w) and [thr_eff + s,
+    thr_eff + s + w), s = min(0, e) mod 2**96, for any thr_eff.  When the
+    continued fraction ends at q, w = 0 and q' = e' = 0."""
     h, k, q0, q = MOD, step, 0, 1
     while k:  # the continued fraction of step / 2**96
         a, r = divmod(h, k)
@@ -254,25 +277,76 @@ def orbit_shift(step: int, thr_eff: int, length: int) -> tuple:
     d = orbit_value(step, q)
     w = min(d, MOD - d)
     s = 0 if d == w else d
-    return q, w, (s, (thr_eff + s) & MASK)
+    q1 = a * q + q0 if w else 0
+    d1 = orbit_value(step, q1)
+    return (q, w, (s, (thr_eff + s) & MASK), q1, d if d == w else d - MOD,
+            d1 - MOD if d1 > w else d1)
 
 
-def orbit_chunk_continue(step: int, shift: tuple, start: int, length: int, prev: int) -> int:
-    """orbit_chunk_mask(step, thr_eff, start, length) from prev, the mask of
-    the length indices before start, and shift = orbit_shift(step, thr_eff,
-    length).  The flips, each index on an arc by the exact test, are
-    XOR-ed onto prev's last q bits and extended with period q by shift-XOR
-    doubling."""
-    q, w, arcs = shift
-    flips = 0
-    for i, a in _arc_candidates(step, start, length, arcs, w):
-        if (orbit_value(step, start + i) - a) & MASK < w:
-            flips ^= 1 << i
+def _first_hit(a: int, m: int, lo: int, hi: int) -> int | None:
+    """The smallest x >= 0 with lo <= a*x mod m <= hi, for 0 < a < m and
+    0 < lo <= hi < m, or None if there is none.
+
+    With no multiple of a on [lo, hi], x solves it with y = floor(a*x / m)
+    exactly when [m*y + lo, m*y + hi] holds a multiple of a, that is when
+    (m mod a)*y mod a lies on [a - hi mod a, a - lo mod a]: the same
+    problem on (m mod a, a), Euclid's step of ``floor_sum``.  The smallest
+    y gives the smallest x.
+    """
+    x = -(-lo // a)
+    if a * x <= hi:
+        return x
+    if m % a == 0:
+        return None
+    y = _first_hit(m % a, a, a - hi % a, a - lo % a)
+    return None if y is None else -(-(m * y + lo) // a)
+
+
+def orbit_visits(step: int, shift: tuple, n: int) -> tuple:
+    """For each flip arc [a, a + w) of shift = orbit_shift(...), its first
+    visit m >= n and the offset v(m) - a, in [0, w): the state that
+    orbit_chunk_continue steps from.  Empty when w = 0."""
+    _, w, arcs, *_ = shift
+    v, visits = orbit_value(step, n), []
+    for a in arcs if w else ():
+        u = (v - a) & MASK
+        # an arc of width w holds an orbit value, since w is a multiple of
+        # the orbit's gcd with 2**96, so a visit exists
+        x = 0 if u < w else _first_hit(step, MOD, MOD - u, MOD - u + w - 1)
+        visits.append((n + x, (u + x * step) & MASK))
+    return tuple(visits)
+
+
+@lru_cache(maxsize=8)
+def _low_bits(length: int) -> int:
+    """(1 << length) - 1, kept: building it takes a third of a continued
+    chunk."""
+    return (1 << length) - 1
+
+
+def orbit_chunk_continue(shift: tuple, start: int, length: int, carried: tuple) -> tuple:
+    """(orbit_chunk_mask(step, thr_eff, start, length), the visits carried
+    into start + length) from carried = (the mask of the length indices
+    before start, orbit_visits(step, shift, start)), for shift =
+    orbit_shift(step, thr_eff, length).  Each arc's next visit is a flip
+    if it lies in the chunk, and then steps on by q' or q + q'; the flips
+    are XOR-ed onto prev's last q bits and extended with period q by
+    shift-XOR doubling."""
+    q, w, _, q1, e, e1 = shift
+    prev, visits = carried
+    end = start + length
+    flips, stepped = 0, []
+    for n, u in visits:
+        if n < end:
+            flips ^= 1 << (n - start)
+            u += e1
+            n, u = (n + q1, u) if 0 <= u < w else (n + q + q1, u + e)
+        stepped.append((n, u))
     bits = prev >> (length - q) ^ flips
     while q < length:
         bits ^= bits << q
         q <<= 1
-    return bits & ((1 << length) - 1)
+    return bits & _low_bits(length), tuple(stepped)
 
 
 def orbit_band_count(step: int, thr: int, n: int) -> int:

@@ -89,7 +89,7 @@ class SetBase:
 
         No count calls this, and no command queries a set point by
         point.  A query computes its whole chunk unless the set computed
-        it last: about 80 us for a rotation set, or 20 us continued from
+        it last: about 80 us for a rotation set, or 6 us continued from
         the chunk before, and 8 KiB carried per chunk a jumping query
         reaches.  Every query shifts an 8 KiB integer.
         """

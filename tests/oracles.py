@@ -278,6 +278,16 @@ def orbit_walk_mask(step: int, thr_eff: int, start: int, length: int) -> int:
     return int.from_bytes(bytes(bits), "little")
 
 
+def orbit_first_visit(step: int, a: int, w: int, n: int) -> tuple[int, int]:
+    """(m, (m*step - a) mod 2**96) for the first m >= n whose orbit value
+    lies on the arc [a, a + w) mod 2**96, w > 0, walked index by index."""
+    x = (n * step) % ORBIT_MOD
+    while (x - a) % ORBIT_MOD >= w:
+        x = (x + step) % ORBIT_MOD
+        n += 1
+    return n, (x - a) % ORBIT_MOD
+
+
 def orbit_walk_band(step: int, lo: int, hi: int, start: int, length: int) -> int:
     """#{n in [start, start+length) : lo <= (n*step) mod 2**96 < hi}."""
     x = (start * step) % ORBIT_MOD

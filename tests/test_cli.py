@@ -534,8 +534,12 @@ def test_one_bit_error_in_continued_chunks_breaks_a_count_identity(tmp_path, cap
                                                                    monkeypatch):
     # a wrong continued bit is carried on into every later chunk
     orig = fixedpoint.orbit_chunk_continue
-    monkeypatch.setattr(fixedpoint, "orbit_chunk_continue",
-                        lambda *args: orig(*args) ^ (1 << 12_345))
+
+    def flipped(*args):
+        mask, visits = orig(*args)
+        return mask ^ (1 << 12_345), visits
+
+    monkeypatch.setattr(fixedpoint, "orbit_chunk_continue", flipped)
     code = main(["verify", write_spec(tmp_path, KW3), "--prefix", "1000000",
                  "--out", str(tmp_path / "r.json")])
     err = capsys.readouterr().err

@@ -173,9 +173,11 @@ def test_kw_sweep_from_a_chunk_whose_predecessor_was_never_computed(monkeypatch,
     # comes from the direct kernel, each later one is continued, and all
     # of them match the walk
     calls = {"orbit_chunk_mask": [], "orbit_chunk_continue": []}
-    for name, seen in calls.items():
+    # the start is argument 2 of the direct kernel and 1 of the continued one
+    for (name, seen), at in zip(calls.items(), (2, 1)):
         real = getattr(fx, name)
-        monkeypatch.setattr(fx, name, lambda *a, r=real, s=seen: s.append(a[2]) or r(*a))
+        monkeypatch.setattr(fx, name,
+                            lambda *a, r=real, s=seen, at=at: s.append(a[at]) or r(*a))
     s = kw_set(7, Fraction(5, 11))
     for ci in range(first, first + 3):
         assert s.chunk_mask(ci) == oracles.orbit_walk_mask(s._step, s._thr_eff,
@@ -200,6 +202,61 @@ def test_kw_band_hits_within_bound():
     s = kw_set(2, Fraction(3, 10))
     hits = s.band_count(10**5)
     assert 0 <= hits <= KWSet.band_bound(10**5)
+
+
+# an index far out with a mid-range orbit value, which places thr_fixed exactly
+_N0 = 12_345_678
+
+
+@pytest.mark.parametrize("offset, member, in_band", [
+    (fx.GUARD * 3 // 4, True, True),  # in the upper half of the band
+    (fx.GUARD - 1, True, True),  # the band's last value
+    (fx.GUARD, False, False),  # the first value past it
+    (-fx.GUARD, True, True),  # the band's first value
+], ids=["upper-half", "last", "past", "first"])
+def test_kw_resolves_orbit_values_in_the_guard_band_as_members(offset, member, in_band):
+    # index _N0's orbit value sits at thr_fixed + offset: the guard band is
+    # [thr_fixed - GUARD, thr_fixed + GUARD), and all of it is members
+    v = fx.orbit_value(fx.frac_step(2), _N0)
+    assert fx.MOD // 4 < v < 3 * fx.MOD // 4
+    s = KWSet(2, Fraction(1, 2), thr_fixed=v - offset)
+    ci, b = divmod(_N0, CHUNK_BITS)
+    assert s.chunk_mask(ci) >> b & 1 == member
+    assert s.count_hint(_N0 + 1) - s.count_hint(_N0) == member
+    assert s.band_count(_N0 + 1) - s.band_count(_N0) == in_band
+
+
+@pytest.mark.parametrize("thr_fixed, accepted", [
+    (fx.GUARD, False), (fx.GUARD + 1, True),
+    (fx.MOD - 2 * fx.GUARD - 1, True), (fx.MOD - 2 * fx.GUARD, False),
+    (fx.MOD - 2 * fx.GUARD + 1, False),
+], ids=["guard", "guard+1", "top-1", "top", "top+1"])
+def test_kw_threshold_check_at_its_edges(thr_fixed, accepted):
+    # top = MOD - 2 * GUARD, the first threshold rejected below 1
+    if not accepted:
+        with pytest.raises(ValueError, match="too close to 0 or 1"):
+            KWSet(2, Fraction(1, 2), thr_fixed=thr_fixed)
+        return
+    s = KWSet(2, Fraction(1, 2), thr_fixed=thr_fixed)
+    low = (1 << 3000) - 1
+    assert s.chunk_mask(0) & low == oracles.orbit_walk_mask(s._step, thr_fixed + fx.GUARD, 0, 3000)
+
+
+def test_kw_reader_that_starts_mid_sweep_steps_from_its_own_visits(monkeypatch):
+    # one reader sweeps from chunk 0; a second starts at chunk 37 when the
+    # first is at chunk 3, and they interleave.  Each continues from what
+    # was carried into its own next chunk, so only chunks 0 and 37 take the
+    # direct kernel, and every gap q' or q + q' (under 2 chunks for sqrt 5)
+    # is stepped several times by each
+    s = kw_set(5, Fraction(3, 10))
+    want = [fx.orbit_chunk_mask(s._step, s._thr_eff, ci * CHUNK_BITS, CHUNK_BITS)
+            for ci in range(48)]
+    direct = []
+    real = fx.orbit_chunk_mask
+    monkeypatch.setattr(fx, "orbit_chunk_mask", lambda *a: direct.append(a[2]) or real(*a))
+    reads = [0, 1, 2] + [ci for k in range(11) for ci in (3 + k, 37 + k)]
+    assert [s.chunk_mask(ci) for ci in reads] == [want[ci] for ci in reads]
+    assert direct == [0, 37 * CHUNK_BITS]
 
 
 def test_kw_descriptor():

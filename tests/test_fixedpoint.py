@@ -1,11 +1,12 @@
 """Rotation kernels against the exact orbit walk in oracles.py: the numpy
-high-limb chunk kernel bit for bit, floor-sum counts and band counts exactly,
-and the enforced 2**40 validity domain."""
+high-limb chunk kernel bit for bit, runs of continued chunks stepped from
+visit to visit against it, floor-sum counts and band counts exactly, and
+the enforced 2**40 validity domain."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import densfam.fixedpoint as fx
@@ -132,48 +133,86 @@ def test_chunk_kernel_empty_range():
 # -- continued chunks -----------------------------------------------------------
 
 
-def _continued(step, thr_eff, ci):
-    """Chunk ci continued from the direct kernel's chunk ci - 1, and the
-    direct kernel's chunk ci itself."""
+def _stepped(step, thr_eff, first, last):
+    """Chunks first..last, each continued from the one before, the first
+    from the direct kernel's chunk first - 1 and the visits seeded at its
+    start; and the direct kernel's chunks first..last.  Every gap between
+    two visits of an arc exceeds a chunk, so only a run of chunks steps."""
     shift = fx.orbit_shift(step, thr_eff, CHUNK_BITS)
-    prev = fx.orbit_chunk_mask(step, thr_eff, (ci - 1) * CHUNK_BITS, CHUNK_BITS)
-    return (fx.orbit_chunk_continue(step, shift, ci * CHUNK_BITS, CHUNK_BITS, prev),
-            fx.orbit_chunk_mask(step, thr_eff, ci * CHUNK_BITS, CHUNK_BITS))
+    carried = (fx.orbit_chunk_mask(step, thr_eff, (first - 1) * CHUNK_BITS, CHUNK_BITS),
+               fx.orbit_visits(step, shift, first * CHUNK_BITS))
+    got = []
+    for ci in range(first, last + 1):
+        carried = fx.orbit_chunk_continue(shift, ci * CHUNK_BITS, CHUNK_BITS, carried)
+        got.append(carried[0])
+    return got, [fx.orbit_chunk_mask(step, thr_eff, ci * CHUNK_BITS, CHUNK_BITS)
+                 for ci in range(first, last + 1)]
 
 
-@given(st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 14, 15]), st.integers(1, 999),
-       st.integers(1, 1 << 24))
+SQUARE_FREE_TO_30 = [r for r in range(2, 31) if fx.is_square_free(r)]
+
+
+@given(st.sampled_from(SQUARE_FREE_TO_30), st.integers(1, 999), st.integers(1, (1 << 24) - 1))
+# a dropped gap, a moved q' or a stale visit is wrong within these runs
+@example(r=2, k=300, ci=1)
+@example(r=3, k=300, ci=1)
+@example(r=5, k=300, ci=1)
+@example(r=7, k=300, ci=1)
+@example(r=13, k=300, ci=1)
 @settings(max_examples=60, deadline=None)
 def test_continued_chunk_matches_direct_kernel(r, k, ci):
+    # 12 chunks span two visits of each arc for every radicand here, whose
+    # gaps q + q' reach 5.8 chunks (r = 10), so every arc steps at least once
     s = KWSet(r, Fraction(k, 1000))
-    got, want = _continued(s._step, s._thr_eff, ci)
+    got, want = _stepped(s._step, s._thr_eff, ci, ci + 11)
     assert got == want
 
 
 def test_shift_is_the_largest_convergent_in_a_chunk():
     # frac(sqrt 2) = [0; 2, 2, 2, ...]: denominators 1, 2, 5, 12, ..., 33461, 80782
-    q, w, (a0, a1) = fx.orbit_shift(fx.frac_step(2), fx.MOD // 2, CHUNK_BITS)
-    assert q == 33461
-    assert w == min(fx.orbit_value(fx.frac_step(2), q), fx.MOD - fx.orbit_value(fx.frac_step(2), q))
+    step = fx.frac_step(2)
+    q, w, (a0, a1), q1, e, e1 = fx.orbit_shift(step, fx.MOD // 2, CHUNK_BITS)
+    assert (q, q1) == (33461, 80782)
+    assert w == min(fx.orbit_value(step, q), fx.MOD - fx.orbit_value(step, q))
     assert w < fx.MOD // 80782 and a1 == (a0 + fx.MOD // 2) % fx.MOD
+    # the signed offsets of q and q': |e| = w, |e'| < w, opposite signs
+    assert (e % fx.MOD, e1 % fx.MOD) == (fx.orbit_value(step, q), fx.orbit_value(step, q1))
+    assert abs(e) == w and 0 < abs(e1) < w and (e < 0) != (e1 < 0)
+
+
+@given(st.integers(2, 200), st.data())
+def test_first_hit_matches_a_scan(m, data):
+    a = data.draw(st.integers(1, m - 1))
+    lo = data.draw(st.integers(1, m - 1))
+    hi = data.draw(st.integers(lo, m - 1))
+    hits = [x for x in range(m) if lo <= a * x % m <= hi]  # a*x mod m has period <= m
+    assert fx._first_hit(a, m, lo, hi) == (hits[0] if hits else None)
+
+
+@given(st.sampled_from(SQUARE_FREE_TO_30), st.integers(1, 999), st.integers(0, fx.INDEX_LIMIT))
+@settings(max_examples=25, deadline=None)
+def test_seeded_visits_are_the_first_on_each_arc(r, k, n):
+    step = fx.frac_step(r)
+    shift = fx.orbit_shift(step, fx.threshold_fixed(Fraction(k, 1000)) + fx.GUARD, CHUNK_BITS)
+    _, w, arcs, *_ = shift
+    assert fx.orbit_visits(step, shift, n) == tuple(
+        oracles.orbit_first_visit(step, a, w, n) for a in arcs)
 
 
 @pytest.mark.parametrize("r", [2, 3, 5, 7])
 def test_continued_chunk_at_thresholds_within_w_of_0_or_1(monkeypatch, r):
     # the two flip arcs meet or overlap, and an index on both flips twice
     step = fx.frac_step(r)
-    _, w, _ = fx.orbit_shift(step, fx.MOD // 2, CHUNK_BITS)
+    w = fx.orbit_shift(step, fx.MOD // 2, CHUNK_BITS)[1]
     for thr_eff in (w - 1, w, w + 1, fx.MOD - w - 1, fx.MOD - w, fx.MOD - w + 1):
-        shift = fx.orbit_shift(step, thr_eff, CHUNK_BITS)
-        for ci in (1, 2):
-            prev = fx.orbit_chunk_mask(step, thr_eff, (ci - 1) * CHUNK_BITS, CHUNK_BITS)
-            assert (fx.orbit_chunk_continue(step, shift, ci * CHUNK_BITS, CHUNK_BITS, prev)
-                    == oracles.orbit_walk_mask(step, thr_eff, ci * CHUNK_BITS, CHUNK_BITS))
+        got, _ = _stepped(step, thr_eff, 1, 4)
+        assert got == [oracles.orbit_walk_mask(step, thr_eff, ci * CHUNK_BITS, CHUNK_BITS)
+                       for ci in range(1, 5)]
     # such a rotation set continues its chunks too
     continued = []
     real = fx.orbit_chunk_continue
     monkeypatch.setattr(fx, "orbit_chunk_continue",
-                        lambda *a: continued.append(a[2]) or real(*a))
+                        lambda *a: continued.append(a[1]) or real(*a))
     s = KWSet(2, Fraction(1, 10**6))
     for ci in (0, 1):
         assert s.chunk_mask(ci) == oracles.orbit_walk_mask(s._step, s._thr_eff,
@@ -181,22 +220,35 @@ def test_continued_chunk_at_thresholds_within_w_of_0_or_1(monkeypatch, r):
     assert continued == [CHUNK_BITS]
 
 
+@pytest.mark.parametrize("step", [1 << 95, 0x5A5 << 93 & fx.MASK, 0x5A5 << 80],
+                         ids=["period-2", "period-8", "period-65536"])
+def test_stepped_chunks_of_a_period_of_at_most_a_chunk_match_the_walk(step):
+    # such a rotation repeats within a chunk: w = 0, and no arc is visited
+    thr_eff = fx.threshold_fixed(Fraction(3, 10)) + fx.GUARD
+    shift = fx.orbit_shift(step, thr_eff, CHUNK_BITS)
+    assert shift[1] == 0 and shift[3:] == (0, 0, 0)
+    assert fx.orbit_visits(step, shift, CHUNK_BITS) == ()
+    got, _ = _stepped(step, thr_eff, 1, 3)
+    assert got == [oracles.orbit_walk_mask(step, thr_eff, ci * CHUNK_BITS, CHUNK_BITS)
+                   for ci in range(1, 4)]
+
+
 def _d(step):
-    q, _, _ = fx.orbit_shift(step, fx.MOD // 3, CHUNK_BITS)
+    q = fx.orbit_shift(step, fx.MOD // 3, CHUNK_BITS)[0]
     return q, fx.orbit_value(step, q)
 
 
-def _on_zero_arc_end(sign, at_d, delta):
-    """(step, index n past chunk 0) with v(n) = delta, or d + delta when
-    at_d, where d = v(q) is below 2**95 for sign +1 and above it for -1.
-    The zero arc is [0, d) for positive d and [d, 2**96) for negative d,
-    so these are its two ends, nudged by delta."""
+def _on_zero_arc_end(sign, at_d, delta, past=1):
+    """(step, index n at or past chunk `past`) with v(n) = delta, or d +
+    delta when at_d, where d = v(q) is below 2**95 for sign +1 and above it for
+    -1.  The zero arc is [0, d) for positive d and [d, 2**96) for negative
+    d, so these are its two ends, nudged by delta."""
     for j in range(1, 1000, 2):
         if delta:  # v(m) = delta for an odd m, so the step is delta / m
-            m = CHUNK_BITS + j
+            m = past * CHUNK_BITS + j
             step = delta * pow(m, -1, fx.MOD) % fx.MOD
-        else:  # v(2**17) = 0 for a rotation by j / 2**17
-            m, step = 1 << 17, j << 79
+        else:  # v(2**17 past) = 0 for a rotation by j / 2**17
+            m, step = past << 17, j << 79
         q, d = _d(step)
         if (d < fx.MOD // 2) == (sign > 0):
             n = m + q if at_d else m
@@ -209,9 +261,12 @@ def _on_zero_arc_end(sign, at_d, delta):
 @pytest.mark.parametrize("at_d", [False, True], ids=["at-0", "at-d"])
 @pytest.mark.parametrize("sign", [1, -1], ids=["d-positive", "d-negative"])
 def test_continued_chunk_at_the_ends_of_the_zero_arc(sign, at_d, delta):
-    step, n = _on_zero_arc_end(sign, at_d, delta)
-    got, want = _continued(step, fx.MOD // 3, n // CHUNK_BITS)
-    assert got == want
+    # n just past the seed, found by its solve, and 12 chunks past it,
+    # where a step lands on n
+    for past in (1, 13):
+        step, n = _on_zero_arc_end(sign, at_d, delta, past)
+        got, want = _stepped(step, fx.MOD // 3, 1, n // CHUNK_BITS + 2)
+        assert got == want
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])
@@ -219,17 +274,17 @@ def test_continued_chunk_at_the_ends_of_the_zero_arc(sign, at_d, delta):
 @pytest.mark.parametrize("r, n", [
     (2, 5 * CHUNK_BITS + 12_345), (3, 5 * CHUNK_BITS + 12_345), (5, 5 * CHUNK_BITS + 12_345),
     (7, 5 * CHUNK_BITS + 12_345),
-    # a block's first index has no carry, so at the arc's last value its
-    # carry-free high limb can reach hi(a) + hi(w) + 1
+    # a block's first index, reached after some 20 steps per arc
     (2, 30 * CHUNK_BITS + fx._BLOCK),
 ], ids=["2", "3", "5", "7", "2-block-start"])
 def test_continued_chunk_at_the_ends_of_the_threshold_arc(r, n, at_end, delta):
     # the threshold arc [t + s, t + s + w) is placed by t: put index n's
-    # orbit value at either end, nudged by delta
+    # orbit value at either end, nudged by delta; seeded 4 chunks or more
+    # before n, more than q + q' for these radicands, a step reaches n
     step = fx.frac_step(r)
-    q, w, (s, _) = fx.orbit_shift(step, fx.MOD // 3, CHUNK_BITS)
+    _, w, (s, _), *_ = fx.orbit_shift(step, fx.MOD // 3, CHUNK_BITS)
     thr_eff = (fx.orbit_value(step, n) - s - w * at_end - delta) % fx.MOD
-    got, want = _continued(step, thr_eff, n // CHUNK_BITS)
+    got, want = _stepped(step, thr_eff, 1, n // CHUNK_BITS + 1)
     assert got == want
 
 
@@ -250,6 +305,11 @@ def test_orbit_count_matches_orbit_walk(r, t, n):
 
 @given(radicands, st.integers(0, fx.INDEX_LIMIT - 20000), st.integers(0, 20000),
        st.integers(0, 19999), st.integers(-fx.GUARD, fx.GUARD))
+# the index's orbit value on the band's first value, on its last, and
+# just past it
+@example(r=2, start=1_000_000, length=50, k=10, delta=fx.GUARD)
+@example(r=2, start=1_000_000, length=50, k=10, delta=-fx.GUARD + 1)
+@example(r=2, start=1_000_000, length=50, k=10, delta=-fx.GUARD)
 @settings(max_examples=60, deadline=None)
 def test_band_count_matches_orbit_walk(r, start, length, k, delta):
     # centre the band near the orbit value of an index in the range so
