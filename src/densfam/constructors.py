@@ -20,11 +20,10 @@ certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, product
 from math import factorial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import fixedpoint as fx
 from .density import Rational, as_fraction
@@ -35,8 +34,13 @@ from .sets import CHUNK_BITS, SetBase, bits_to_mask
 # -- families ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Family:
+class _FamilyFields(NamedTuple):
+    names: tuple[str, ...]
+    sets: tuple[SetBase, ...]
+    densities: tuple[Fraction, ...]
+
+
+class Family(_FamilyFields):
     """A finite ordered family of named sets with declared densities.
 
     The declared density is the construction's claim about the set's
@@ -44,20 +48,27 @@ class Family:
     against products of declared values.
     """
 
-    names: tuple[str, ...]
-    sets: tuple[SetBase, ...]
-    densities: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.names) == 0:
+    def __new__(
+        cls, names: tuple[str, ...], sets: tuple[SetBase, ...], densities: tuple[Fraction, ...]
+    ) -> "Family":
+        if len(names) == 0:
             raise ValueError("family must be nonempty")
-        if not (len(self.names) == len(self.sets) == len(self.densities)):
+        if not (len(names) == len(sets) == len(densities)):
             raise ValueError("names, sets and densities must have equal length")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("family member names must be unique")
-        for name, d in zip(self.names, self.densities):
+        for name, d in zip(names, densities):
             if not (0 < d < 1):
                 raise ValueError(f"member {name!r} has declared density {d} outside (0,1)")
+        return super().__new__(cls, names, sets, densities)
+
+    @classmethod
+    def _make(cls, fields) -> "Family":
+        # _replace builds through _make: validate here too, and count the
+        # fields, where the base's _make would count members by __len__
+        return cls(*fields)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -380,8 +391,7 @@ def block_transform(classical: Sequence[SetBase]) -> Family:
 # -- biased-coin randomized extension ----------------------------------
 
 
-@dataclass(frozen=True)
-class ExtensionParams:
+class ExtensionParams(NamedTuple):
     """Exact rational parameters of a biased-coin extension.
 
     The coin accepts index n with probability t1 when n lies in the
@@ -515,8 +525,7 @@ def atom_density(densities: Sequence[Fraction], bits: Sequence[int]) -> Fraction
     return out
 
 
-@dataclass(frozen=True)
-class PackResult:
+class PackResult(NamedTuple):
     """Chosen sign patterns with total expected density below target.
 
     ``excluded`` lists every eligible final-level pattern left out,

@@ -14,11 +14,10 @@ many sets in one sweep, or to split it across processes, call
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .sets import SetBase, window_counts
 
@@ -39,8 +38,14 @@ def _ceil(x: Fraction) -> int:
     return -(-x.numerator // x.denominator)
 
 
-@dataclass(frozen=True)
-class WindowSchedule:
+class _ScheduleFields(NamedTuple):
+    start: int
+    ratio: Fraction
+    count: int
+    end: Optional[int]
+
+
+class WindowSchedule(_ScheduleFields):
     """Geometric window schedule.
 
     Without an end anchor the windows are N_j = ceil(start * ratio**j)
@@ -49,13 +54,16 @@ class WindowSchedule:
     command-line prefix override pins the largest window.
     """
 
-    start: int = 10_000
-    ratio: Fraction = Fraction(2)
-    count: int = 10
-    end: Optional[int] = None
+    # no __slots__: cached_property keeps _windows in the instance dict
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ratio", as_fraction(self.ratio))
+    def __new__(
+        cls,
+        start: int = 10_000,
+        ratio: Rational = Fraction(2),
+        count: int = 10,
+        end: Optional[int] = None,
+    ) -> "WindowSchedule":
+        self = super().__new__(cls, start, as_fraction(ratio), count, end)
         if self.start < 1:
             raise ValueError("schedule start must be >= 1")
         if self.ratio <= 1:
@@ -71,6 +79,12 @@ class WindowSchedule:
             ws = self.windows()
             if any(b <= a for a, b in zip(ws, ws[1:])):
                 raise ValueError("schedule windows must be strictly increasing")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "WindowSchedule":
+        # _replace builds through _make: normalise and validate here too
+        return cls(*fields)
 
     def windows(self) -> tuple[int, ...]:
         return self._windows
@@ -145,8 +159,7 @@ def default_tolerance(n_max: int, randomized: bool) -> Fraction:
     return max(DEFAULT_TOL, Fraction(4, isqrt(n_max)))
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
+class DensityEstimate(NamedTuple):
     """Exact window counts and the derived finite-window density data."""
 
     windows: tuple[int, ...]

@@ -11,9 +11,8 @@ intersection's empirical density and the product of declared densities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .constructors import Family
 from .density import (
@@ -28,8 +27,7 @@ from .sets import SetBase, intersect, thin, window_counts
 from .verify import atoms
 
 
-@dataclass(frozen=True)
-class BisectMemberReport:
+class BisectMemberReport(NamedTuple):
     name: str
     member_counts: tuple[int, ...]
     joint_counts: tuple[int, ...]
@@ -40,8 +38,7 @@ class BisectMemberReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class BisectReport:
+class BisectReport(NamedTuple):
     schedule: WindowSchedule
     tol: Fraction
     members: tuple[BisectMemberReport, ...]
@@ -131,8 +128,7 @@ def thin_extension(family: Family) -> SetBase:
     return ext
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Empirical product-rule gap between two sets."""
 
     window: int

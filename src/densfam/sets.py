@@ -3,10 +3,9 @@
 Every set is one type, ``SetBase``: a descriptor, a chunk function and
 an optional exact count hint, all fixed when the set is built.  A chunk
 is membership over an aligned 65536-index range, as a Python integer
-bitmask, combined with other sets' chunks by cheap bitwise operations,
-and ``member`` reads one bit of a chunk.  Rotation, block-parity and
-boolean-combination sets subclass ``SetBase`` to supply their own
-kernel.  All counts are exact integers.
+bitmask, combined with other sets' chunks by cheap bitwise operations.
+Rotation, block-parity and boolean-combination sets subclass ``SetBase``
+to supply their own kernel.  All counts are exact integers.
 
 ``window_counts`` is the one way to count: it gives |S ∩ [0, n)| for
 many sets and windows in one chunk-major sweep, so a leaf shared by many
@@ -81,25 +80,6 @@ class SetBase:
         self._count_hint = count_hint
         self._chunk: tuple[int, int] = (-1, 0)  # (ci, mask) of the last chunk computed
 
-    # -- membership ---------------------------------------------------
-
-    def member(self, n: int) -> bool:
-        """Whether n is in the set: bit n % CHUNK_BITS of chunk
-        n // CHUNK_BITS.
-
-        No count calls this, and no command queries a set point by
-        point.  A query computes its whole chunk unless the set computed
-        it last: about 80 us for a rotation set, or 6 us continued from
-        the chunk before, and 8 KiB carried per chunk a jumping query
-        reaches.  Every query shifts an 8 KiB integer.
-        """
-        if n < 0:
-            return False
-        return bool(self.chunk_mask(n // CHUNK_BITS) >> (n % CHUNK_BITS) & 1)
-
-    def __contains__(self, n: int) -> bool:
-        return self.member(n)
-
     @property
     def count_hint(self) -> Optional[Callable[[int], int]]:
         return self._count_hint
@@ -116,8 +96,10 @@ class SetBase:
         computes chunk ci from the state carried into ci (None if none)
         and returns the mask, that state and the state carried into ci + 1.
         Both are kept and the state carried into ci - 1 is dropped, so each
-        reader, at its own position, keeps its own two entries.  An entry
-        depends on its index only, so a race of threads at most drops one.
+        reader, at its own position, keeps its own two entries.  Readers
+        move forward, chunk after chunk: a reader that jumps leaves its two
+        entries behind.  An entry depends on its index only, so a race of
+        threads at most drops one.
         """
         got = self._chunk
         if got[0] != ci:
@@ -298,11 +280,8 @@ def from_elements(elements: Iterable[int]) -> SetBase:
 
 
 def from_membership(fn: Callable[[int], bool], descriptor: Optional[dict] = None) -> SetBase:
-    """The set {n : fn(n)}, its chunks filled one call of fn per index.
-
-    A reference for tests and scripts: even a lone ``member`` query
-    computes its whole chunk, which is 65,536 calls of fn.
-    """
+    """The set {n : fn(n)}, its chunks filled one call of fn per index:
+    a reference for tests and scripts."""
 
     def chunk(ci: int) -> int:
         import numpy as np

@@ -34,9 +34,8 @@ parsing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .constructors import (
     BlockParitySet,
@@ -55,14 +54,13 @@ class SpecError(ValueError):
     """Malformed or inconsistent spec document."""
 
 
-@dataclass
-class LoadedSpec:
+class LoadedSpec(NamedTuple):
     doc: dict
     sets: dict[str, SetBase]
     family: Optional[Family]
     schedule: WindowSchedule
     tol: Optional[Fraction]
-    seeds: dict[str, int] = field(default_factory=dict)
+    seeds: dict[str, int]
 
     def require_family(self) -> Family:
         if self.family is None:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .constructors import Family, KWSet, atom_density
 from .density import (
@@ -53,8 +52,7 @@ def atoms(sets: Sequence[SetBase]) -> list[SetExpr]:
     return nodes
 
 
-@dataclass(frozen=True)
-class AtomReport:
+class AtomReport(NamedTuple):
     """One sign-pattern atom of a VerificationReport: bits[i] is 1 for
     the report's member names[i] and 0 for its complement; counts and
     densities run over the report's schedule windows."""
@@ -69,8 +67,7 @@ class AtomReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class BandDiagnostic:
+class BandDiagnostic(NamedTuple):
     """Guard-band hit counts for a threshold-comparison set."""
 
     name: str
@@ -88,8 +85,7 @@ class BandDiagnostic:
         return cls(name, n, s.band_count(n), KWSet.band_bound(n))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     names: tuple[str, ...]
     schedule: WindowSchedule
     tol: Fraction
@@ -229,8 +225,7 @@ def verify_independence(
 # -- the generated field of sets ----------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(NamedTuple):
     """A union of atoms, encoded by an atom-index bitmask: atom index i
     is the integer whose binary digits are the pattern bits, least
     member first."""
@@ -268,8 +263,7 @@ def field_elements(family: Family) -> list[FieldElement]:
     return [FieldElement(mask, Fraction(v, den)) for mask, v in enumerate(values)]
 
 
-@dataclass(frozen=True)
-class FieldValues:
+class FieldValues(NamedTuple):
     """The distinct expected densities over a generated field: value n
     stands for n/denominator and is taken by counts[n] field elements;
     counts runs in ascending order of n."""
@@ -331,8 +325,7 @@ def field_values(family: Family) -> FieldValues:
 # -- grid coverage of the field image -----------------------------------
 
 
-@dataclass(frozen=True)
-class CellReport:
+class CellReport(NamedTuple):
     index: int
     lo: Fraction
     hi: Fraction
@@ -340,8 +333,7 @@ class CellReport:
     witness: Optional[Fraction]
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     names: tuple[str, ...]
     delta: Fraction
     cells: tuple[CellReport, ...]

@@ -6,7 +6,8 @@ explicit enumeration instead of bitmask periods, inclusion-exclusion
 instead of the atom-sum dynamic program, exhaustive search instead of
 greedy selection.  Frozen literals in the test files carry a note
 naming the oracle that produced them; rerunning the oracle functions
-reproduces the literals.
+reproduces the literals.  The one reader of the package is ``chunk_bit``,
+through which tests set a package set's bits against these oracles.
 """
 
 import bisect
@@ -17,6 +18,8 @@ from math import factorial
 
 import mpmath
 from numpy.random import Philox
+
+from densfam.sets import CHUNK_BITS
 
 
 # -- rotation threshold sets (high-precision route) ----------------------
@@ -362,3 +365,12 @@ def expr_members(expr, n: int) -> list:
                 rank += v
         return out
     raise ValueError(f"unknown expression kind {kind!r}")
+
+
+# -- one bit of a package set ------------------------------------------------
+
+
+def chunk_bit(s, n: int) -> bool:
+    """Whether index n >= 0 is in the package set s: bit n % CHUNK_BITS
+    of its chunk n // CHUNK_BITS."""
+    return bool(s.chunk_mask(n // CHUNK_BITS) >> (n % CHUNK_BITS) & 1)

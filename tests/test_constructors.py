@@ -2,7 +2,6 @@
 parity transforms, randomized extensions, gap families, pattern packing.
 """
 
-import dataclasses
 import math
 import sys
 import threading
@@ -17,10 +16,12 @@ import oracles
 import densfam.fixedpoint as fx
 import densfam.rng as rng
 from densfam import (
+    AtomReport,
     BlockParitySet,
     ExtensionParams,
     Family,
     KWSet,
+    WindowSchedule,
     alignment_block,
     atom_density,
     block_transform,
@@ -89,6 +90,21 @@ def test_threshold_fixed_guards_margin():
     for p in (eps, 1 - eps):
         with pytest.raises(ValueError):
             fx.threshold_fixed(p)
+
+
+@pytest.mark.parametrize("p, accepted", [
+    (Fraction(1, 1 << 39), False), (Fraction(3, 1 << 40), True),
+    (1 - Fraction(3, 1 << 40), True), (1 - Fraction(1, 1 << 39), False),
+], ids=["margin", "margin+half", "top-half", "top"])
+def test_kw_threshold_margin_at_its_edges(p, accepted):
+    # the rejected margin is 2**-39 on either side; 1.5 of it builds a set
+    if not accepted:
+        with pytest.raises(ValueError, match="too close to 0 or 1"):
+            kw_set(2, p)
+        return
+    s = kw_set(2, p)
+    low = (1 << 3000) - 1
+    assert s.chunk_mask(0) & low == oracles.orbit_walk_mask(s._step, s._thr_eff, 0, 3000)
 
 
 def test_orbit_value_is_exact_modular_multiple():
@@ -164,7 +180,7 @@ def test_kw_chunk_agrees_with_member():
     walk = oracles.orbit_walk_mask(s._step, s._thr_eff, 0, 3000)
     assert bits_to_mask(s.bits_range(0, 3000)) == walk
     for n in (0, 1, 17, 100, 2999):
-        assert s.member(n) == bool(walk >> n & 1)
+        assert oracles.chunk_bit(s, n) == bool(walk >> n & 1)
 
 
 @pytest.mark.parametrize("first", [1, 5, 1 << 20])
@@ -290,7 +306,7 @@ def test_coded_bits_match_frozen_oracle(sigma, depth, nbits):
 def test_coded_matches_live_oracle():
     s = coded_independent_set("101", 3)
     for k in range(0, 278, 7):
-        assert s.member(k) == oracles.coded_member_enum("101", 3, k)
+        assert oracles.chunk_bit(s, k) == oracles.coded_member_enum("101", 3, k)
 
 
 def test_coded_block_sizes():
@@ -305,7 +321,7 @@ def test_coded_separation_in_next_block():
         sb = coded_independent_set(b, 4)
         starts = oracles.coded_block_starts(4)
         lo, hi = starts[pos + 1], starts[pos + 2]
-        assert any(sa.member(k) != sb.member(k) for k in range(lo, hi))
+        assert any(oracles.chunk_bit(sa, k) != oracles.chunk_bit(sb, k) for k in range(lo, hi))
 
 
 def test_coded_depth_cap():
@@ -315,7 +331,7 @@ def test_coded_depth_cap():
 
 def test_coded_indices_beyond_last_block_excluded():
     s = coded_independent_set("01", 2)
-    assert not any(s.member(k) for k in range(22, 50))
+    assert not any(oracles.chunk_bit(s, k) for k in range(22, 50))
 
 
 # a parameter per depth, with both bit values below the cap
@@ -329,7 +345,7 @@ def test_coded_kernel_matches_oracle_next_to_every_block_start(depth):
     # the last start is the end of the last block
     starts = oracles.coded_block_starts(depth)
     for k in sorted({k for start in starts for k in (start - 1, start, start + 1) if k >= 0}):
-        assert s.member(k) == oracles.coded_member_enum(sigma, depth, k), k
+        assert oracles.chunk_bit(s, k) == oracles.coded_member_enum(sigma, depth, k), k
 
 
 @pytest.mark.parametrize("depth", sorted(CODED_SIGMA))
@@ -339,8 +355,8 @@ def test_coded_kernel_matches_oracle_on_the_chunk_that_holds_its_end(depth):
     end = oracles.coded_block_starts(depth)[-1]
     ci = end // CHUNK_BITS
     assert ci == {4: 1, 5: 65537}.get(depth, 0)
-    assert s.member(end - 1) == oracles.coded_member_enum(sigma, depth, end - 1)
-    assert not s.member(end)
+    assert oracles.chunk_bit(s, end - 1) == oracles.coded_member_enum(sigma, depth, end - 1)
+    assert not oracles.chunk_bit(s, end)
     lo = ci * CHUNK_BITS
     expect = sum(1 << i for i in range(CHUNK_BITS)
                  if oracles.coded_member_enum(sigma, depth, lo + i))
@@ -389,7 +405,7 @@ def test_block_parity_member_matches_live_oracle():
     bp = BlockParitySet(from_elements(members))
     starts = oracles.factorial_block_starts(12)
     for n in range(0, 2141, 13):
-        assert bp.member(n) == oracles.block_parity_member_enum(members, n, starts)
+        assert oracles.chunk_bit(bp, n) == oracles.block_parity_member_enum(members, n, starts)
 
 
 # chunk 5 holds the start of block 7 (347,741) and chunk 84 that of block 8
@@ -547,7 +563,7 @@ def test_random_extension_chunk_agrees_with_member(kw_pair):
     expect = [oracles.coin_member(3, p.t1, p.t0, bool(in_a >> n & 1), n) for n in range(1000)]
     assert [bool(x) for x in b.bits_range(0, 1000)] == expect
     for n in (0, 1, 2, 99, 500, 999):
-        assert b.member(n) == expect[n]
+        assert oracles.chunk_bit(b, n) == expect[n]
 
 
 def test_random_extension_unknown_member(kw_pair):
@@ -597,13 +613,13 @@ def test_random_extension_matches_pointwise_coin(which, ci, off, length, target,
     def params(a, s):
         # from_target always gives t1 > t0; swapping covers the other order
         p = from_target(a, s)
-        return dataclasses.replace(p, t0=p.t1, t1=p.t0) if swap else p
+        return p._replace(t0=p.t1, t1=p.t0) if swap else p
 
     with mock.patch.object(ExtensionParams, "from_target", params):
         b, p = random_extension(fam, which, target, seed)
     assert (p.t1 < p.t0) == swap
     a_set = fam.set_of(which)
-    expect = [oracles.coin_member(seed, p.t1, p.t0, a_set.member(n), n)
+    expect = [oracles.coin_member(seed, p.t1, p.t0, oracles.chunk_bit(a_set, n), n)
               for n in range(start, stop)]
     assert [bool(x) for x in b.bits_range(start, stop)] == expect
     inside = range(max(start, lo), min(stop, lo + CHUNK_BITS))
@@ -778,13 +794,46 @@ def test_family_extended(kw_pair):
     assert kw_pair.names == ("A0", "A1")  # original untouched
 
 
+_E0, _E1 = from_elements([0]), from_elements([1])
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+@pytest.mark.parametrize("make, field, size", [
+    (lambda spelled: Family(("A", "B"), (_E0, _E1), (_HALF, _THIRD)), "names", 2),
+    (lambda spelled: WindowSchedule(100, "3/2" if spelled else Fraction(3, 2), 4), "ratio", None),
+    (lambda spelled: AtomReport((1, 0), _THIRD, (34, 67), (_THIRD, _THIRD), _THIRD, Fraction(0),
+                                Fraction(1, 201), True), "passed", None),
+], ids=["family", "schedule", "atom-report"])
+def test_records_are_immutable_values(make, field, size):
+    # two records built apart from equal fields (a schedule's ratio once
+    # as a string) are equal and hash alike, and no field can be assigned
+    a, b = make(True), make(False)
+    assert a is not b and a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    assert a == b
+    if size is not None:
+        assert len(a) == size
+
+
+def test_replace_builds_a_family_or_schedule_through_its_checks():
+    fam = Family(("A", "B"), (_E0, _E1), (_HALF, _THIRD))
+    assert fam._replace(names=("X", "Y")) == Family(("X", "Y"), (_E0, _E1), (_HALF, _THIRD))
+    with pytest.raises(ValueError, match="names must be unique"):
+        fam._replace(names=("X", "X"))
+    schedule = WindowSchedule(100, 2, 4)
+    assert schedule._replace(ratio="3/2") == WindowSchedule(100, Fraction(3, 2), 4)
+    with pytest.raises(ValueError, match="ratio must be > 1"):
+        schedule._replace(ratio=1)
+
+
 # -- stated construction identities -----------------------------------------
 
 
 def test_kw_membership_tracks_fractional_part_of_root_two():
     # frac(sqrt(2)) = 0.41421..., so index 1 flips right there
-    assert kw_set(2, Fraction(42, 100)).member(1)
-    assert not kw_set(2, Fraction(41, 100)).member(1)
+    assert oracles.chunk_bit(kw_set(2, Fraction(42, 100)), 1)
+    assert not oracles.chunk_bit(kw_set(2, Fraction(41, 100)), 1)
 
 
 def test_kw_family_rejects_empty_input():
@@ -808,7 +857,7 @@ def test_coded_all_ones_offset_is_in_every_set():
         # the last offset of block n encodes the full set of strings
         idx = starts[n] + (1 << (1 << n)) - 1
         for s in sets:
-            assert s.member(idx)
+            assert oracles.chunk_bit(s, idx)
 
 
 def test_coded_every_pattern_appears_inside_early_blocks():
@@ -820,7 +869,7 @@ def test_coded_every_pattern_appears_inside_early_blocks():
         lo, hi = starts[n], starts[n] + (1 << (1 << n))
         seen = set()
         for k in range(lo, hi):
-            seen.add(tuple(int(s.member(k)) for s in sets))
+            seen.add(tuple(int(oracles.chunk_bit(s, k)) for s in sets))
         # distinct prefixes realize all 2^3 boolean patterns in one block
         assert seen == {tuple(b) for b in
                         ((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))}

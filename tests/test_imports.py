@@ -159,6 +159,15 @@ ROTATION_235 = {"family": [
     {"name": "A2", "kind": "kw", "radicand": 5, "threshold": "0.7"},
 ]}
 
+def write_specs(tmp_path) -> list[str]:
+    """Paths of EVERY_KIND and ROTATION_235 written as spec files."""
+    specs = []
+    for name, doc in (("every_kind.json", EVERY_KIND), ("rotation.json", ROTATION_235)):
+        (tmp_path / name).write_text(json.dumps(doc))
+        specs.append(str(tmp_path / name))
+    return specs
+
+
 # prints the numpy modules loaded after each step
 COMMANDS_WITHOUT_CHUNKS = """
 import sys
@@ -184,13 +193,43 @@ def test_commands_that_compute_no_chunk_never_load_numpy(tmp_path):
     # image, pack and construct over count-hinted members never compute a
     # chunk, so they run without numpy; verify's atoms are swept, so it
     # loads numpy, which shows the check can see it
-    specs = []
-    for name, doc in (("every_kind.json", EVERY_KIND), ("rotation.json", ROTATION_235)):
-        (tmp_path / name).write_text(json.dumps(doc))
-        specs.append(str(tmp_path / name))
-    printed = run_fresh(COMMANDS_WITHOUT_CHUNKS, *specs, str(tmp_path / "report.json"))
+    printed = run_fresh(COMMANDS_WITHOUT_CHUNKS, *write_specs(tmp_path),
+                        str(tmp_path / "report.json"))
     assert printed.splitlines() == ["import []", "load_spec []", "image []", "pack []",
                                     "construct []", "verify ['numpy']"]
+
+
+# prints the package modules that import densfam loads, then the code
+# generators loaded after each step
+START_UP = """
+import sys
+import densfam
+print(sorted(m for m in sys.modules if m.startswith("densfam.")))
+import densfam.cli
+from densfam.specfile import load_spec, read_spec_file
+every_kind, rotation, out = sys.argv[1:]
+
+def loaded(step):
+    print(step, [m for m in ("dataclasses", "inspect") if m in sys.modules])
+
+loaded("import")
+load_spec(read_spec_file(every_kind))
+loaded("load_spec")
+for argv in (["image", rotation], ["pack", rotation, "--side", "1", "--target", "0.3"],
+             ["construct", rotation, "--prefix", "1000000000"]):
+    assert densfam.cli.main([*argv, "--out", out]) == 0
+    loaded(argv[0])
+"""
+
+
+def test_start_up_generates_no_record_code(tmp_path):
+    # records are built without dataclasses, which would load inspect too;
+    # import densfam loads its seven core modules and no more
+    printed = run_fresh(START_UP, *write_specs(tmp_path),
+                        str(tmp_path / "report.json")).splitlines()
+    core = ["constructors", "density", "fixedpoint", "reaping", "rng", "sets", "verify"]
+    assert printed[0] == str([f"densfam.{m}" for m in core])
+    assert printed[1:] == ["import []", "load_spec []", "image []", "pack []", "construct []"]
 
 
 POOL_SWEEP = """

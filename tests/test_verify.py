@@ -27,9 +27,11 @@ from densfam import (
     image_density_scan,
     kw_family,
     kw_set,
+    omega,
     pattern_label,
     random_extension,
     reaping,
+    scale,
     thin,
     thin_extension,
     verify_independence,
@@ -56,14 +58,15 @@ def test_sign_pattern_label():
 def test_atom_membership(half_family):
     a = atoms(half_family.sets)[0b10]  # E=1, H=0
     # E and not H: n even, n mod 4 in {2, 3} -> n mod 4 == 2
-    members = {n for n in range(40) if a.member(n)}
+    members = {n for n in range(40) if oracles.chunk_bit(a, n)}
     assert members == {n for n in range(40) if n % 4 == 2}
 
 
 def test_atom_all_ones_is_intersection(kw_pair):
     a = atoms(kw_pair.sets)[0b11]
     for n in (0, 13, 500):
-        assert a.member(n) == (kw_pair.sets[0].member(n) and kw_pair.sets[1].member(n))
+        both = oracles.chunk_bit(kw_pair.sets[0], n) and oracles.chunk_bit(kw_pair.sets[1], n)
+        assert oracles.chunk_bit(a, n) == both
 
 
 _ATOM_N = 3000
@@ -240,6 +243,28 @@ def test_thin_extension_of_a_like_named_family_bounds_its_own_count(monkeypatch)
                                          r"at window 40000: it keeps 20003 of the pattern's 40000 "
                                          r"indices, not 20000 to 20002"):
         verify_independence(f2.extended("T", thin_extension(f1), Fraction(1, 2)), schedule)
+
+
+def test_a_thin_extension_that_keeps_one_index_too_few_breaks_its_identity(monkeypatch):
+    # T thins the evens E, which is verified beside it, so m = 1 and T keeps
+    # exactly ceil(c/2) of each group's c indices; below the last window,
+    # 2250, each group holds 1125, and dropping the kept index 1600 leaves
+    # T 562 evens, floor(c/2) but not ceil(c/2)
+    fam = Family(("E",), (scale(omega(), 2),), (Fraction(1, 2),))
+    schedule = WindowSchedule(1000, Fraction(3, 2), 3)
+    assert schedule.windows() == (1000, 1500, 2250)
+    assert oracles.chunk_bit(thin_extension(fam), 1600)
+    real = reaping.thin
+
+    def dropped(*parts):
+        t = real(*parts)
+        return SetBase(t.descriptor, chunk_fn=lambda ci: t.chunk_mask(ci) & ~(1 << 1600))
+
+    monkeypatch.setattr(reaping, "thin", dropped)
+    with pytest.raises(ValueError, match=r"count identity failed for member T on pattern E=1 "
+                                         r"at window 2250: it keeps 562 of the pattern's 1125 "
+                                         r"indices, not 563"):
+        verify_independence(fam.extended("T", thin_extension(fam), Fraction(1, 2)), schedule)
 
 
 _KW4 = kw_family([2, 3, 5, 7], [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(2, 5)])
@@ -487,8 +512,8 @@ def test_atom_over_single_member_is_the_member_or_complement():
     base = fam.sets[0]
     miss, hit = atoms(fam.sets)
     for n in range(150):
-        assert hit.member(n) == base.member(n)
-        assert miss.member(n) == (not base.member(n))
+        assert oracles.chunk_bit(hit, n) == oracles.chunk_bit(base, n)
+        assert oracles.chunk_bit(miss, n) == (not oracles.chunk_bit(base, n))
 
 
 def test_atom_counts_partition_every_prefix(kw_pair):
